@@ -75,7 +75,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import RuntimeConfig
 from repro.errors import NetworkError, ReproError
-from repro.platform.mp import MpMachine, _DRAIN_CAP, _WorkerHost
+from repro.platform.mp import MpMachine, _WorkerHost
 from repro.platform.wireformat import FrameDecoder, FrameEncoder
 
 #: Mesh hello: the dialler's node id, sent before any frame.
@@ -177,7 +177,7 @@ class _AsyncWorkerHost(_WorkerHost):
     # decoder bytes or a readable control pipe — no OS waitables here.
     # ------------------------------------------------------------------
     def _net_ready(self) -> bool:
-        if self.ctrl.poll():
+        if self._sel.select(0):
             return True
         for ch in self._chan_list:
             if ch.decoder.buffered_bytes:
@@ -255,7 +255,7 @@ class _AsyncWorkerHost(_WorkerHost):
         self._register(peer_id, reader, writer)
 
     async def _ctrl_recv(self, deadline: float, expect: str) -> tuple:
-        while not self.ctrl.poll():
+        while not self._sel.select(0):
             if time.monotonic() >= deadline:
                 raise NetworkError(
                     f"node {self.node_id}: timed out waiting for "
@@ -354,7 +354,7 @@ class _AsyncWorkerHost(_WorkerHost):
     async def _serve(self, ctrl_reader: bool) -> None:
         """The worker's event loop: heap bursts, ring steps and batch
         flushes on the host task; reads arrive via the pump tasks while
-        this coroutine awaits.  Mirrors ``_WorkerHost._loop_shm``'s
+        this coroutine awaits.  Mirrors ``_WorkerHost._step_shm``'s
         progressed/park structure with an :class:`asyncio.Event` in
         place of the Condition."""
         node = self.node
@@ -366,14 +366,9 @@ class _AsyncWorkerHost(_WorkerHost):
                 self._run_ready()
                 self._maybe_advance_ring()
                 self._flush_pending()
-                progressed = node.events_run != before
-                for _ in range(_DRAIN_CAP):
-                    if not self.ctrl.poll():
-                        break
-                    progressed = True
-                    self._dispatch_ctrl(self.ctrl.recv())
-                    if self._stop:
-                        return
+                progressed = self._serve_ctrl() or node.events_run != before
+                if self._stop:
+                    return
                 for ch in self._chan_list:
                     for rec in ch.decoder.drain():
                         progressed = True
@@ -472,6 +467,7 @@ class AsyncioMachine(MpMachine):
     ) -> None:
         super().__init__(config, trace=trace, faults=faults)
         self._unix_dir: Optional[str] = None
+        self._boot_msgs: List[tuple] = []
 
     # ------------------------------------------------------------------
     # boot / teardown
@@ -504,35 +500,34 @@ class AsyncioMachine(MpMachine):
             )
             proc.start()
             self._procs.append(proc)
+        self._watch_workers()
         deadline = time.monotonic() + net.connect_timeout_s + _BOOT_GRACE_S
-        addrs: Dict[int, tuple] = {}
-        for conn in self._ctrl:
-            msg = self._boot_recv(conn, deadline, "listening")
-            addrs[msg[1]] = msg[2]
+        addrs = {msg[1]: msg[2] for msg in self._boot_wait("listening", deadline)}
         for conn in self._ctrl:
             conn.send(("peers", addrs))
-        for conn in self._ctrl:
-            self._boot_recv(conn, deadline, "meshed")
+        self._boot_wait("meshed", deadline)
 
-    def _boot_recv(self, conn, deadline: float, expect: str) -> tuple:
-        """Wait for one bring-up message on ``conn``, forwarding any
-        interleaved events (a worker error must surface as the error,
-        not as a bring-up timeout)."""
-        while True:
+    def _note_event(self, msg: tuple) -> None:
+        if msg[0] in ("listening", "meshed"):
+            self._boot_msgs.append(msg)
+        else:
+            super()._note_event(msg)
+
+    def _boot_wait(self, expect: str, deadline: float) -> List[tuple]:
+        """Wait until every worker has sent its ``expect`` bring-up
+        message (the phases are ordered, so only those queue up).
+        Goes through the driver's readiness set: a worker error or a
+        dead worker surfaces as that, not as a bring-up timeout."""
+        while len(self._boot_msgs) < self.config.num_nodes:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise ReproError(
                     f"asyncio backend: timed out waiting for {expect!r} "
                     "during mesh bring-up"
                 )
-            if not conn.poll(min(remaining, 0.25)):
-                self._raise_worker_error()
-                continue
-            msg = conn.recv()
-            if msg[0] == expect:
-                return msg
-            self._note_event(msg)
-            self._raise_worker_error()
+            self._drain_events(remaining)
+        msgs, self._boot_msgs = self._boot_msgs, []
+        return msgs
 
     def shutdown(self) -> None:
         super().shutdown()

@@ -82,10 +82,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import pickle
+import selectors
 import socket
+import time
 import traceback
 from multiprocessing import get_context
-from multiprocessing.connection import wait as conn_wait
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import RuntimeConfig
@@ -105,9 +106,6 @@ Callback = Callable[..., None]
 #: work a passive node may hold (mirrors the chatter exclusion).
 _POLL_LABEL = "steal.poll"
 
-#: Per-conn control-command drain cap per loop iteration.
-_DRAIN_CAP = 64
-
 #: Handler-burst cadence: every this-many consecutive heap entries the
 #: worker flushes outbound batches and peeks at the network.  Checking
 #: after *every* handler (PR 5) cost one poll syscall per event; a
@@ -126,8 +124,26 @@ _SHM_SPIN = 100
 _SHM_WAIT_S = 0.002
 
 
+#: Detection pacing: after the first retry the driver spaces failed
+#: Safra rounds by a delay doubling from the first value to the second.
+_PACE_MIN_S, _PACE_MAX_S = 0.0001, 0.002
+
+#: Driver commands that neither inject work nor change worker state.
+_PURE_OPS = frozenset(("snap", "audit", "resolve", "detect", "stop"))
+
+
 def _pickling_errors():
     return (TypeError, AttributeError, pickle.PicklingError)
+
+
+def _read_set(entries) -> selectors.BaseSelector:
+    """A selector with every ``(fileobj, data)`` of ``entries``
+    registered for reads — once; ``connection.wait`` and
+    ``Connection.poll`` build, fill and close one on every call."""
+    sel = selectors.DefaultSelector()
+    for fileobj, data in entries:
+        sel.register(fileobj, selectors.EVENT_READ, data)
+    return sel
 
 
 # ======================================================================
@@ -138,7 +154,7 @@ class _PipeChannel:
     whole ``send_bytes`` messages, so the pipe's own message framing
     does the reassembly and the decoder always sees complete frames."""
 
-    __slots__ = ("conn", "encoder", "decoder", "dirty")
+    __slots__ = ("conn", "encoder", "decoder", "dirty", "_more")
 
     def __init__(self, conn) -> None:
         self.conn = conn
@@ -146,23 +162,24 @@ class _PipeChannel:
         self.decoder = FrameDecoder()
         #: True while this channel may hold unflushed outbound bytes.
         self.dirty = False
-
-    @property
-    def waitable(self):
-        return self.conn
+        #: ``select(0)`` on this pipe alone: "is another frame queued?"
+        self._more = _read_set([(conn, None)])
 
     def send_frame(self, frame: bytes) -> None:
         self.conn.send_bytes(frame)
 
     def read_available(self) -> None:
-        """Feed everything currently readable to the decoder."""
-        conn = self.conn
+        """Feed everything currently readable to the decoder; the host
+        dispatches only then, so one burst's replies share frames."""
+        recv = self.conn.recv_bytes
         feed = self.decoder.feed
-        feed(conn.recv_bytes())
-        while conn.poll():
-            feed(conn.recv_bytes())
+        more = self._more.select
+        feed(recv())
+        while more(0):
+            feed(recv())
 
     def close(self) -> None:
+        self._more.close()
         self.conn.close()
 
 
@@ -184,10 +201,6 @@ class _SocketChannel:
         self.encoder = FrameEncoder()
         self.decoder = FrameDecoder()
         self.dirty = False
-
-    @property
-    def waitable(self):
-        return self.sock
 
     def send_frame(self, frame: bytes) -> None:
         self.sock.sendall(frame)
@@ -616,8 +629,8 @@ class _WorkerHost:
         self._arena = None
         if shm is not None:
             # Shm transport: attach the driver's arena (untracked) and
-            # build ring channels; there are no OS waitables beyond the
-            # control pipe — readiness is a head/tail compare.
+            # build ring channels; the control pipe is the only fd —
+            # ring readiness is a head/tail compare.
             arena_name, conds = shm
             self._arena = attach_arena(
                 arena_name, config.num_nodes, config.mp.ring_bytes
@@ -630,18 +643,17 @@ class _WorkerHost:
             }
             for ch in self.channels.values():
                 ch.drain_hook = self._absorb_inbound
-            self._by_waitable: Dict[Any, Any] = {}
-            self._waitables = [ctrl]
         else:
             self.channels = {
                 nid: _make_channel(end) for nid, end in peers.items()
             }
-            self._by_waitable = {
-                ch.waitable: ch for ch in self.channels.values()
-            }
-            self._waitables = [ctrl] + [
-                self.channels[k].waitable for k in sorted(self.channels)
-            ]
+        #: The readiness set: the control pipe (data None) and every
+        #: peer fd (data = its channel); the shm and asyncio hosts have
+        #: no peer fds, so theirs holds the control pipe alone.
+        self._sel = _read_set(
+            [(ctrl, None)]
+            + [(end, self.channels[nid]) for nid, end in peers.items()]
+        )
         self._chan_list = [self.channels[k] for k in sorted(self.channels)]
         #: Channels that may hold unflushed outbound bytes.
         self._dirty: List[Any] = []
@@ -664,6 +676,9 @@ class _WorkerHost:
         self._c_frame_bytes = stats.cell("wire.frame_bytes")
         self._c_wire_msgs = stats.cell("wire.messages")
         self._c_pay_reuse = stats.cell("wire.payload_reuse")
+        #: The share of ``wire.frames`` that carried a token or quiesce
+        #: record (each also carries whatever data was buffered ahead).
+        self._c_token_frames = stats.cell("wire.token_frames")
 
     # ------------------------------------------------------------------
     # wire
@@ -765,11 +780,13 @@ class _WorkerHost:
         neighbour flush ahead of the token in FIFO order."""
         ch = self._ring_next()
         ch.encoder.add_token(rid, count, black)
+        self._c_token_frames.n += 1
         self._send_now(ch)
 
     def _send_quiesce(self, rid: int) -> None:
         ch = self._ring_next()
         ch.encoder.add_quiesce(rid)
+        self._c_token_frames.n += 1
         self._send_now(ch)
 
     def _passive(self) -> bool:
@@ -784,14 +801,13 @@ class _WorkerHost:
         return not self._net_ready()
 
     def _net_ready(self) -> bool:
-        """Unread input exists: published ring bytes (shm) or readable
-        waitables (pipe/socket); the control pipe counts either way."""
+        """Unread input exists: published ring bytes (shm) or a
+        readable fd of the readiness set (control pipe, peer links)."""
         if self._arena is not None:
             for ch in self._chan_list:
                 if ch.in_ring.readable:
                     return True
-            return self.ctrl.poll()
-        return bool(conn_wait(self._waitables, 0))
+        return bool(self._sel.select(0))
 
     def _absorb_inbound(self) -> None:
         """Feed every inbound ring to its decoder — buffer only, no
@@ -805,7 +821,7 @@ class _WorkerHost:
     def _maybe_advance_ring(self) -> None:
         # One step can unblock the next (dropping a stale token clears
         # the way to initiate the round that superseded it), and the
-        # loop blocks in conn_wait right after this returns — so run
+        # loop blocks in select right after this returns — so run
         # steps to a fixpoint rather than risking a missed wakeup.
         while self._ring_step():
             pass
@@ -1076,40 +1092,13 @@ class _WorkerHost:
         return max(0.0, (heap[0][0] - self.clock.now) / 1e6)
 
     def loop(self) -> None:
-        if self._arena is not None:
-            self._loop_shm()
-        else:
-            self._loop_wait()
-
-    def _loop_wait(self) -> None:
-        """Pipe/socket event loop: block in ``connection.wait`` on the
-        control pipe and every peer waitable."""
-        by_waitable = self._by_waitable
+        """Run the transport's step until stopped.  A failure inside a
+        step is reported and the worker keeps serving; a vanished
+        driver ends the loop."""
+        step = self._step_shm if self._arena is not None else self._step_wait
         while not self._stop:
             try:
-                self._run_ready()
-                self._maybe_advance_ring()
-                # Everything buffered goes out before we block: a
-                # message parked in an encoder while its destination
-                # idles would stall the partition (and, because its
-                # send was already counted, park the token ring in
-                # failed rounds rather than deadlock — but why wait).
-                self._flush_pending()
-                timeout = self._next_timeout()
-                ready = conn_wait(self._waitables, timeout)
-                for waitable in ready:
-                    ch = by_waitable.get(waitable)
-                    if ch is None:  # the control pipe
-                        for _ in range(_DRAIN_CAP):
-                            if not self.ctrl.poll():
-                                break
-                            self._dispatch_ctrl(self.ctrl.recv())
-                            if self._stop:
-                                return
-                    else:
-                        ch.read_available()
-                        for rec in ch.decoder.drain():
-                            self._dispatch_record(rec)
+                step()
             except (EOFError, OSError):
                 return  # the driver went away; nothing left to serve
             except Exception:
@@ -1120,52 +1109,64 @@ class _WorkerHost:
                 except OSError:
                     return
 
-    def _loop_shm(self) -> None:
-        """Shm event loop: readiness is a head/tail compare, not a
-        waitable — poll the rings and the control pipe, park on this
-        worker's Condition (sleeping flag raised) only when nothing
-        progressed and no heap entry is due."""
-        chans = self._chan_list
+    def _serve_ctrl(self) -> bool:
+        """Dispatch every queued control command; True if any ran.
+        For the hosts whose readiness set is the control pipe alone."""
+        served = False
+        while not self._stop and self._sel.select(0):
+            self._dispatch_ctrl(self.ctrl.recv())
+            served = True
+        return served
+
+    def _step_wait(self) -> None:
+        """Pipe/socket event loop: block in the readiness set's
+        ``select`` until the next timer is due."""
+        self._run_ready()
+        self._maybe_advance_ring()
+        # Everything buffered goes out before we block: a message
+        # parked in an encoder while its destination idles would stall
+        # the partition (and, because its send was already counted,
+        # park the token ring in failed rounds rather than deadlock —
+        # but why wait).
+        self._flush_pending()
+        for key, _ in self._sel.select(self._next_timeout()):
+            ch = key.data
+            if ch is None:
+                # Control pipe: one command per (level-triggered) report.
+                self._dispatch_ctrl(self.ctrl.recv())
+                if self._stop:
+                    return
+            else:
+                ch.read_available()
+                for rec in ch.decoder.drain():
+                    self._dispatch_record(rec)
+
+    def _step_shm(self) -> None:
+        """Shm event loop: readiness is a head/tail compare, not an fd
+        — poll the rings and the control pipe, park on this worker's
+        Condition (sleeping flag raised) only when nothing progressed
+        and no heap entry is due."""
         node = self.node
-        while not self._stop:
-            try:
-                before = node.events_run
-                self._run_ready()
-                self._maybe_advance_ring()
-                self._flush_pending()
-                progressed = node.events_run != before
-                if self.ctrl.poll():
-                    progressed = True
-                    for _ in range(_DRAIN_CAP):
-                        if not self.ctrl.poll():
-                            break
-                        self._dispatch_ctrl(self.ctrl.recv())
-                        if self._stop:
-                            return
-                for ch in chans:
-                    if ch.read_available():
-                        progressed = True
-                    # A blocked send's drain_hook may have buffered
-                    # records behind our back: drain decoders
-                    # unconditionally, not just on fresh ring bytes.
-                    for rec in ch.decoder.drain():
-                        progressed = True
-                        self._dispatch_record(rec)
-                if progressed:
-                    continue
-                timeout = self._next_timeout()
-                if timeout == 0.0:
-                    continue  # a heap entry is already due
+        before = node.events_run
+        self._run_ready()
+        self._maybe_advance_ring()
+        self._flush_pending()
+        progressed = self._serve_ctrl() or node.events_run != before
+        if self._stop:
+            return
+        for ch in self._chan_list:
+            if ch.read_available():
+                progressed = True
+            # A blocked send's drain_hook may have buffered records
+            # behind our back: drain decoders unconditionally, not just
+            # on fresh ring bytes.
+            for rec in ch.decoder.drain():
+                progressed = True
+                self._dispatch_record(rec)
+        if not progressed:
+            timeout = self._next_timeout()
+            if timeout != 0.0:  # else a heap entry is already due
                 self._sleep_shm(timeout)
-            except (EOFError, OSError):
-                return  # the driver went away; nothing left to serve
-            except Exception:
-                try:
-                    self.ctrl.send(
-                        ("err", self.node_id, traceback.format_exc())
-                    )
-                except OSError:
-                    return
 
     def _sleep_shm(self, timeout: Optional[float]) -> None:
         """Park with the sleeping flag raised so peers (and the
@@ -1348,7 +1349,8 @@ class MpMachine:
     #: even though the machine itself is not deterministic.
     counters_exact = True
 
-    #: Driver wait quantum while a detection round is in flight.
+    #: Driver wait quantum while a caller's ``stop_when`` must be
+    #: re-evaluated; without one the driver blocks until an event.
     _POLL_S = 0.0005
 
     def __init__(
@@ -1369,7 +1371,7 @@ class MpMachine:
             else None
         )
         self.clock = WallClock()
-        self.stats = StatsRegistry()
+        self._stats = StatsRegistry()
         self.trace = NullTraceLog()
         self.spans = NullSpanRecorder()
         self.rng = RngStreams(config.seed)
@@ -1383,10 +1385,14 @@ class MpMachine:
         #: Behaviour names shipped to the workers (the runtime's
         #: on-demand loading consults this instead of a kernel).
         self.loaded_behaviors: set = set()
-        self.console_lines: List[tuple] = []
+        self._console: List[tuple] = []
         self._procs: List[Any] = []
         self._ctrl: List[Any] = []
+        #: Readiness set: control pipes (data None) and worker
+        #: sentinels (data = node); built after the forks.
+        self._sel: Any = None
         self._seq = itertools.count(1)
+        self._acks: Dict[int, Any] = {}
         self._rounds = itertools.count(1)
         self._reply_boxes: Dict[int, List[Any]] = {}
         self._reply_ids = itertools.count(1)
@@ -1397,6 +1403,12 @@ class MpMachine:
         self._locations: Dict[Any, int] = {}
         self._actors = 0
         self._worker_error: Optional[str] = None
+        #: Set once a worker process is found dead; every later
+        #: control wait raises it.
+        self._dead: Optional[str] = None
+        #: The merged view (stats, locations, console, stub nodes)
+        #: predates a command or run; the next read refreshes it.
+        self._stale = False
         self._shut = False
         self._arena = None
         self._conds: Optional[List[Any]] = None
@@ -1457,6 +1469,13 @@ class MpMachine:
         for ends in peer_ends:
             for end in ends.values():
                 end.close()
+        self._watch_workers()
+
+    def _watch_workers(self) -> None:
+        self._sel = _read_set(
+            [(conn, None) for conn in self._ctrl]
+            + [(proc.sentinel, n) for n, proc in enumerate(self._procs)]
+        )
 
     def _notify_worker(self, node: int) -> None:
         """Shm mode: kick the worker's Condition after a control send —
@@ -1471,6 +1490,10 @@ class MpMachine:
         """Stop and join every worker process.  Idempotent."""
         if self._shut:
             return
+        try:
+            self._sync()  # post-close reads are served from this view
+        except ReproError:
+            pass  # a dead or failed worker: keep what we have
         self._shut = True
         for node, conn in enumerate(self._ctrl):
             try:
@@ -1486,6 +1509,8 @@ class MpMachine:
                 proc.join(timeout=1.0)
         for conn in self._ctrl:
             conn.close()
+        if self._sel is not None:
+            self._sel.close()
         if self._arena is not None:
             # Workers have joined (or been killed): release the
             # driver's mapping and destroy the segment.
@@ -1500,12 +1525,16 @@ class MpMachine:
         if self._worker_error is not None:
             err, self._worker_error = self._worker_error, None
             raise ReproError(f"mp worker failed:\n{err}")
+        if self._dead is not None:
+            raise ReproError(self._dead)
 
     def _note_event(self, msg: tuple) -> None:
-        """Record an unsolicited control event (reply, detection
-        result, worker error)."""
+        """Record one control message: a command ack, a reply, a
+        detection result or a worker error."""
         tag = msg[0]
-        if tag == "reply":
+        if tag == "ok":
+            self._acks[msg[1]] = msg[2]
+        elif tag == "reply":
             box = self._reply_boxes.get(msg[1])
             if box is not None:
                 box.append(msg[2])
@@ -1515,62 +1544,85 @@ class MpMachine:
         elif tag == "err":
             self._worker_error = msg[2]
 
-    def _drain_events(self, timeout: float = 0.0) -> bool:
-        """Read every available control event; True if any arrived."""
+    def _note_exit(self, node: int) -> None:
+        """Worker ``node``'s sentinel fired.  A worker that leaves with
+        code 0 mid-run lost a peer (the asyncio peers of a killed
+        worker read EOF and return) and can be reaped before the one
+        that was killed, so wait up to 0.5 s for a non-zero exit — the
+        cause — to name."""
+        if self._dead is not None:
+            return
+        procs = self._procs
+        deadline = time.monotonic() + 0.5
+        while True:
+            failed = [n for n, proc in enumerate(procs) if proc.exitcode]
+            if failed or time.monotonic() >= deadline:
+                break
+            time.sleep(0.005)  # also: the sentinel can precede the reap
+        node = failed[0] if failed else node
+        self._dead = f"mp worker {node} exited with code {procs[node].exitcode}"
+
+    def _drain_events(self, timeout: Optional[float] = 0.0) -> bool:
+        """Wait up to ``timeout`` seconds (None: until something
+        arrives) in the readiness set, then read one message from each
+        readable control pipe; True if any arrived.  Callers loop, and
+        a pipe stays readable while more is queued, so an ack is never
+        overtaken by an error its worker reported after it.  Raises on
+        a worker error or a dead worker."""
         got = False
-        for conn in conn_wait(self._ctrl, timeout):
-            while conn.poll():
-                self._note_event(conn.recv())
-                got = True
+        for key, _ in self._sel.select(timeout):
+            if key.data is None:
+                try:
+                    self._note_event(key.fileobj.recv())
+                    got = True
+                    continue
+                except (EOFError, OSError):
+                    pass  # its worker is gone; the sentinel names it
+            else:
+                self._note_exit(key.data)
+            self._sel.unregister(key.fileobj)
         self._raise_worker_error()
         return got
 
-    def command(self, node: int, payload: tuple) -> Any:
-        """Send one command to ``node`` and block for its ack, noting
-        any interleaved unsolicited events."""
-        self._raise_worker_error()
+    def _post(self, node: int, payload: tuple) -> int:
+        """Send one command to ``node``; returns its ack's seq."""
+        if payload[0] not in _PURE_OPS:
+            self._quiesced = False
+            self._stale = True
         seq = next(self._seq)
-        conn = self._ctrl[node]
         try:
-            conn.send(("cmd", seq, payload))
+            self._ctrl[node].send(("cmd", seq, payload))
         except _pickling_errors() as exc:
             raise ReproError(
                 f"the mp backend requires picklable driver payloads "
                 f"(module-level behaviours/tasks, plain-data args): {exc}"
             ) from exc
+        except OSError:  # its end is closed: let the sentinel name it
+            self._procs[node].join(2.0)
+            self._drain_events()
+            raise
         self._notify_worker(node)
-        while True:
-            msg = conn.recv()
-            if msg[0] == "ok" and msg[1] == seq:
-                return msg[2]
-            self._note_event(msg)
-            self._raise_worker_error()
+        return seq
+
+    def _await(self, seqs: List[int]) -> List[Any]:
+        """Block until every command of ``seqs`` is acked, noting any
+        interleaved unsolicited events."""
+        acks = self._acks
+        while not all(seq in acks for seq in seqs):
+            self._drain_events(None)
+        return [acks.pop(seq) for seq in seqs]
+
+    def command(self, node: int, payload: tuple) -> Any:
+        """Send one command to ``node`` and block for its ack."""
+        self._raise_worker_error()
+        return self._await([self._post(node, payload)])[0]
 
     def broadcast_command(self, payload: tuple) -> List[Any]:
         """Send the same command to every worker; wait for all acks."""
         self._raise_worker_error()
-        seqs = []
-        for node, conn in enumerate(self._ctrl):
-            seq = next(self._seq)
-            seqs.append(seq)
-            try:
-                conn.send(("cmd", seq, payload))
-            except _pickling_errors() as exc:
-                raise ReproError(
-                    f"the mp backend requires picklable driver payloads "
-                    f"(module-level behaviours/tasks, plain-data args): {exc}"
-                ) from exc
-            self._notify_worker(node)
-        values = []
-        for conn, seq in zip(self._ctrl, seqs):
-            while True:
-                msg = conn.recv()
-                if msg[0] == "ok" and msg[1] == seq:
-                    values.append(msg[2])
-                    break
-                self._note_event(msg)
-                self._raise_worker_error()
-        return values
+        return self._await(
+            [self._post(node, payload) for node in range(len(self._ctrl))]
+        )
 
     # ------------------------------------------------------------------
     # driver operations (used by HalRuntime's distributed branches)
@@ -1584,7 +1636,6 @@ class MpMachine:
             tuple(program.behaviors),
             dict(program.tasks),
         )
-        self._quiesced = False
         self.broadcast_command(payload)
         for cls in program.behaviors:
             self.loaded_behaviors.add(behavior_of(cls).name)
@@ -1608,33 +1659,56 @@ class MpMachine:
         """Drive the partition until the token ring certifies global
         quiescence, a predicate fires, or the wall-clock deadline
         ``until`` (µs) passes.  Workers run continuously; this loop
-        only coordinates detection and drains control events."""
-        if not self._procs:
-            return self.clock.now
-        self._quiesced = False
-        self.broadcast_command(("kick",))
+        only coordinates detection and reads control events — blocked
+        in the readiness set, not polling, between them."""
+        if self._procs:
+            self.broadcast_command(("kick",))
+            self._detect(until, stop_when)
+        return self.clock.now
+
+    def _detect(
+        self, until: Optional[float], stop_when: Optional[Callable[[], bool]]
+    ) -> bool:
+        """Run detection rounds until one succeeds (True), or ``until``
+        / ``stop_when`` ends the wait (False).  The first failure is
+        retried at once (after activity it only whitened the ring),
+        later ones after a delay that doubles from ``_PACE_MIN_S`` to
+        ``_PACE_MAX_S``, waited out *inside* the readiness set so a
+        reply, an error or a dead worker still wakes the driver.  When
+        a round starts is free to choose: each round is judged on its
+        own colours and counts (DESIGN.md §5f)."""
+        pace = 0.0
+        retry_at: Optional[float] = None
         self._start_detection()
         try:
             while True:
                 if stop_when is not None and stop_when():
-                    break
-                if until is not None and self.clock.now >= until:
-                    break
-                self._drain_events(self._POLL_S)
-                if self._detect_ok is not None:
-                    ok, self._detect_ok = self._detect_ok, None
-                    if ok:
-                        self._quiesced = True
-                        # Late events (a reply raced the detection
-                        # result on another pipe) are still owed to the
-                        # caller: drain once more before returning.
-                        self._drain_events(0.0)
-                        break
+                    return False
+                now = self.clock.now
+                if until is not None and now >= until:
+                    return False
+                if retry_at is not None and now >= retry_at:
+                    retry_at = None
                     self._start_detection()
+                waits = [] if stop_when is None else [self._POLL_S]
+                waits += [
+                    (at - now) / 1e6 for at in (until, retry_at) if at is not None
+                ]
+                if self._detect_ok is None:  # else: came in with the ack
+                    self._drain_events(min(waits, default=None))
+                ok, self._detect_ok = self._detect_ok, None
+                if ok:
+                    self._quiesced = True
+                    # Late events (a reply raced the detection result
+                    # on another pipe) are still owed to the caller.
+                    while self._drain_events():
+                        pass
+                    return True
+                if ok is not None:
+                    retry_at = self.clock.now + pace * 1e6
+                    pace = min(max(2 * pace, _PACE_MIN_S), _PACE_MAX_S)
         finally:
             self._detect_rid = None
-            self._refresh()
-        return self.clock.now
 
     def _start_detection(self) -> None:
         rid = next(self._rounds)
@@ -1647,28 +1721,14 @@ class MpMachine:
 
         A cached positive verdict is trusted (only driver-issued
         commands can inject new work, and each of those clears it);
-        otherwise a fresh detection round runs, bounded by a short
-        deadline so a genuinely busy partition answers False promptly
-        instead of blocking until its work drains."""
-        if self._quiesced:
+        otherwise detection runs, bounded by a short deadline so a
+        genuinely busy partition answers False promptly instead of
+        blocking until its work drains (a failed round may only have
+        whitened a ring left black by earlier traffic, so rounds
+        repeat; the token parks at any busy worker)."""
+        if self._quiesced or not self._procs or self._shut:
             return True
-        if not self._procs or self._shut:
-            return True
-        self._start_detection()
-        deadline = self.clock.now + 250_000.0  # 0.25 s
-        while self.clock.now < deadline:
-            self._drain_events(self._POLL_S)
-            if self._detect_ok is not None:
-                ok, self._detect_ok = self._detect_ok, None
-                if ok:
-                    self._quiesced = True
-                    return True
-                # A failed round may just have whitened a ring that
-                # was black from earlier traffic; retry until the
-                # deadline (the token parks at any busy worker, so a
-                # genuinely active partition simply times out).
-                self._start_detection()
-        return False
+        return self._detect(self.clock.now + 250_000.0, None)
 
     def net_idle(self) -> bool:
         return self.quiescent()
@@ -1680,19 +1740,28 @@ class MpMachine:
     # ------------------------------------------------------------------
     # observation (snapshot merge)
     # ------------------------------------------------------------------
+    def _sync(self) -> None:
+        """Refresh the merged view before a read.  ``run()`` and the
+        commands only mark it stale: a snapshot is a broadcast plus a
+        full registry merge, too dear to pay per ``rt.call``."""
+        if self._stale:
+            self._refresh()
+
     def _refresh(self) -> None:
         """Pull a snapshot from every worker and rebuild the merged
-        registry, location map and console."""
+        registry, location map and console.  The view stays stale
+        while the partition may still be working."""
         if not self._procs or self._shut:
             return
         snaps = self.broadcast_command(("snap",))
-        self.stats.reset()
+        self._stale = not self._quiesced
+        self._stats.reset()
         self._locations = {}
         self._actors = 0
         self._pending_hint = 0
         console: List[tuple] = []
         for nid, snap in enumerate(snaps):
-            _merge_registry(self.stats, snap["stats"])
+            _merge_registry(self._stats, snap["stats"])
             self._locations.update(snap["locations"])
             self._actors += snap["actors"]
             self._pending_hint += snap["pending"]
@@ -1701,7 +1770,7 @@ class MpMachine:
             stub.busy_us = snap["busy_us"]
             stub.events_run = snap["events_run"]
             stub.now = snap["now"]
-        self.console_lines = sorted(console)
+        self._console = sorted(console)
 
     #: Bound on the reliable-layer settle wait in :meth:`audit`.
     _AUDIT_SETTLE_S = 5.0
@@ -1719,30 +1788,38 @@ class MpMachine:
         certification; the balancers have stopped, so it strictly
         drains) — settle-wait for it, bounded, and let a *persistent*
         unacked envelope surface as the real violation it is."""
-        import time as _time
-
-        deadline = _time.monotonic() + self._AUDIT_SETTLE_S
+        deadline = time.monotonic() + self._AUDIT_SETTLE_S
         while True:
             reports = self.broadcast_command(("audit",))
             if not any(r["rel_pending"] for r in reports):
                 break
-            if _time.monotonic() >= deadline:  # pragma: no cover
+            if time.monotonic() >= deadline:  # pragma: no cover
                 break
-            _time.sleep(0.002)
+            time.sleep(0.002)
         self._refresh()
         return reports
 
     def locate(self, address) -> Optional[int]:
-        self._refresh()
+        self._sync()
         return self._locations.get(address)
 
     def actor_locations(self) -> Dict[Any, int]:
-        self._refresh()
+        self._sync()
         return dict(self._locations)
 
     def total_actors(self) -> int:
-        self._refresh()
+        self._sync()
         return self._actors
+
+    @property
+    def stats(self) -> StatsRegistry:
+        self._sync()
+        return self._stats
+
+    @property
+    def console_lines(self) -> List[tuple]:
+        self._sync()
+        return self._console
 
     # ------------------------------------------------------------------
     @property
@@ -1758,13 +1835,18 @@ class MpMachine:
 
     @property
     def pending(self) -> int:
-        return 0 if self._quiesced else self._pending_hint
+        if self._quiesced:
+            return 0
+        self._sync()
+        return self._pending_hint
 
     @property
     def events_executed(self) -> int:
+        self._sync()
         return sum(n.events_run for n in self.nodes)
 
     def cpu_utilisation(self) -> List[float]:
+        self._sync()
         elapsed = self.clock.now or 1.0
         return [min(1.0, n.busy_us / elapsed) for n in self.nodes]
 
