@@ -569,9 +569,8 @@ def run_bench(*, quick: bool = False, repeats: int = 3,
         results["backend_mp_shm"] = run_fib_app(
             fib_n, num_nodes=4, backend="mp", transport="shm"
         )
-        # Socket-cluster backend: the same frames over a real TCP
-        # mesh with the reliable-AM sublayer always attached, so this
-        # row prices envelope/ack traffic plus loopback TCP on top of
+        # Socket-cluster backend: the same worker loop and frames over
+        # a real TCP mesh, so this row prices loopback TCP on top of
         # the mp wire path.  Ungated on first landing — recorded for
         # trend visibility until a few nightlies establish its noise
         # band (see check_regression.py).

@@ -44,8 +44,8 @@ DEFAULT_BASELINE = os.path.join(_REPO_ROOT, "BENCH_engine.json")
 #:
 #: ``backend_asyncio`` is recorded in the baseline but deliberately
 #: NOT gated yet: the row just landed, and its wall-clock depends on
-#: loopback TCP scheduling plus always-on reliable-AM ack round trips
-#: — gate it once a few nightlies establish the noise band.
+#: loopback TCP scheduling — gate it once a few nightlies establish
+#: the noise band.
 GATED = ("pingpong", "fanout", "backend_threaded", "backend_mp",
          "backend_mp_shm", "tracing")
 

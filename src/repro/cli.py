@@ -457,8 +457,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "threaded: real-time, one OS thread per node; "
                         "mp: one OS process per node, batched binary "
                         "frames, token-ring quiescence; asyncio: one "
-                        "process per node over a TCP/UNIX socket mesh "
-                        "with the reliable-AM sublayer always on")
+                        "process per node over a TCP/UNIX socket mesh")
     add_mp_flags(p)
     add_net_flags(p)
     p.add_argument("--nodes", type=int, default=None, help="partition size")

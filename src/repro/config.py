@@ -160,9 +160,9 @@ class NetParams:
     and each worker dials its lower-numbered peers (redialling for up
     to ``connect_timeout_s`` while listeners come up).  Frames on the
     wire are the same :mod:`repro.platform.wireformat` batches the mp
-    backend ships; the reliable-AM sublayer is always attached on
-    this backend, so drops/delays/reordering are repaired end-to-end
-    rather than assumed away.
+    backend ships, and, as on mp, the reliable-AM sublayer attaches
+    only under a fault plan: a live stream already delivers exactly
+    once and in order.
     """
 
     #: Socket family: real TCP or single-host UNIX-domain sockets.
@@ -279,8 +279,8 @@ class RuntimeConfig:
     #: no determinism); ``mp`` runs each node in its own OS process
     #: (pickled wire packets, token-ring quiescence, no GIL sharing);
     #: ``asyncio`` runs each node in its own process behind a real
-    #: TCP/UNIX socket mesh with the reliable-AM sublayer always on
-    #: (cluster semantics: loss is repaired, not assumed away).
+    #: TCP/UNIX socket mesh (cluster semantics: nodes are addresses;
+    #: the name is historical).
     #: See :mod:`repro.platform`.
     backend: Literal["sim", "threaded", "mp", "asyncio"] = "sim"
     #: Interconnect topology: CM-5 fat-tree or binary hypercube.

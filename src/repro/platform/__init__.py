@@ -21,11 +21,11 @@ a backend by name (usually from ``RuntimeConfig.backend``):
 
 ``asyncio``
     Cluster: one OS process per node behind a real TCP (or UNIX)
-    socket mesh driven by an asyncio event loop — the mp backend's
+    socket mesh dialled at bring-up — the mp backend's worker loop,
     frames, Safra ring and fault plans, but over sockets that could
-    span hosts, with the reliable-AM sublayer always attached and
-    cluster-wide ``(birthplace, descriptor)`` name resolution with
-    FIR-style back-patching on the driver.
+    span hosts, with cluster-wide ``(birthplace, descriptor)`` name
+    resolution and FIR-style back-patching on the driver.  The name
+    is historical; no asyncio event loop runs.
 
 Backend modules are imported lazily so constructing a sim machine
 never pays for ``threading`` machinery and vice versa, and so the

@@ -184,7 +184,9 @@ class _PipeChannel:
 
 
 class _SocketChannel:
-    """Peer link over a UNIX-domain stream socketpair.
+    """Peer link over a stream socket: a UNIX-domain socketpair here, a
+    dialled TCP or UNIX connection on the socket cluster
+    (:mod:`repro.platform.asyncio_net`).
 
     Unlike the pipe channel there is no message boundary: one ``recv``
     may return half a frame or a dozen frames, and the decoder's
@@ -648,8 +650,8 @@ class _WorkerHost:
                 nid: _make_channel(end) for nid, end in peers.items()
             }
         #: The readiness set: the control pipe (data None) and every
-        #: peer fd (data = its channel); the shm and asyncio hosts have
-        #: no peer fds, so theirs holds the control pipe alone.
+        #: peer fd (data = its channel); the shm host has no peer fds,
+        #: so its set holds the control pipe alone.
         self._sel = _read_set(
             [(ctrl, None)]
             + [(end, self.channels[nid]) for nid, end in peers.items()]
@@ -951,6 +953,8 @@ class _WorkerHost:
             return self._snapshot()
         if op == "audit":
             return self._audit()
+        if op == "resolve":
+            return self._resolve(payload[1])
         if op == "detect":
             # Only node 0 coordinates; a newer request supersedes any
             # round still waiting to start.
@@ -994,6 +998,21 @@ class _WorkerHost:
             faults.summary() if faults is not None else {}
         )
         return report
+
+    def _resolve(self, address) -> tuple:
+        """One hop of the socket-cluster driver's FIR-style chase: this
+        node's current belief about ``address``, read straight from the
+        name table — ``("local", node)``, ``("forward", best_guess)`` or
+        ``("unknown",)``.  Never injects work or clears quiescence."""
+        desc = self.kernel.table.get(address)
+        if desc is None:
+            return ("unknown",)
+        if desc.is_local:
+            return ("local", self.node_id)
+        remote = desc.remote_node
+        if remote >= 0 and remote != self.node_id:
+            return ("forward", remote)
+        return ("unknown",)
 
     def _snapshot(self) -> Dict[str, Any]:
         locations = {}
@@ -1111,7 +1130,7 @@ class _WorkerHost:
 
     def _serve_ctrl(self) -> bool:
         """Dispatch every queued control command; True if any ran.
-        For the hosts whose readiness set is the control pipe alone."""
+        For the shm host, whose readiness set is the control pipe alone."""
         served = False
         while not self._stop and self._sel.select(0):
             self._dispatch_ctrl(self.ctrl.recv())

@@ -1,47 +1,58 @@
-"""Asyncio socket-mesh backend: read-loop robustness and cluster
-naming.
+"""Socket-cluster backend: stream reassembly, the reliable-layer attach
+rule, and cluster naming.
 
-The adversarial-segmentation property drives the backend's *actual*
-reader-pump coroutine (``_AsyncWorkerHost._pump``) over a real
-``asyncio.StreamReader``: TCP may present any byte chunking of any
-frame sequence, interleaved with event-loop scheduling points, and the
-pump + decoder must reassemble exactly the sent records.  The naming
-tests pin the driver-side FIR-style chase: resolution starts from the
-birthplace shard an address encodes, follows forwarding guesses, and
-back-patches the driver cache.
+The segmentation property drives the code every cluster link actually
+runs — mp's ``_SocketChannel.read_available`` over a real loopback TCP
+pair: TCP may present any byte chunking of any frame sequence, and the
+channel's decoder must reassemble exactly the sent records.  The
+attach tests pin that loss repair is a layer added where loss is
+injected, not a tax on every message.  The naming tests pin the
+driver-side FIR-style chase: resolution starts from the birthplace
+shard an address encodes, follows forwarding guesses, and back-patches
+the driver cache.
 """
 
 from __future__ import annotations
 
-import asyncio
+import select
+import socket
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import FaultPlan, check_invariants
 from repro.apps.scenarios import run_migration_tour, run_scenario
-from repro.config import NetParams
-from repro.platform.asyncio_net import (
-    _NET_ACK_TIMEOUT_US,
-    _AsyncChannel,
-    _AsyncWorkerHost,
-    _net_worker_config,
-)
+from repro.config import NetParams, RuntimeConfig
+from repro.hal.dsl import behavior, method
 from repro.platform.base import WirePacket
+from repro.platform.mp import _SocketChannel
 from repro.platform.wireformat import FrameDecoder, FrameEncoder
+from repro.runtime.system import HalRuntime
 
 
 # ----------------------------------------------------------------------
-# adversarial TCP segmentation through the backend's read loop
+# adversarial TCP segmentation through the channel's read path
 # ----------------------------------------------------------------------
-class _PumpProbe:
-    """Just enough host surface for the real pump coroutine: the wake
-    event it signals and the EOF flag it raises."""
+def _tcp_pair():
+    """A connected loopback TCP pair: a raw writer socket and a
+    ``_SocketChannel`` on the reading end."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        writer = socket.create_connection(listener.getsockname())
+        reader, _ = listener.accept()
+    writer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return writer, _SocketChannel(reader)
 
-    _pump = _AsyncWorkerHost._pump
 
-    def __init__(self) -> None:
-        self._wake = asyncio.Event()
-        self._eof = False
+def _read(ch: _SocketChannel) -> bool:
+    """Wait for the link to turn readable, then read it as the worker
+    loop does; False once the peer has closed."""
+    select.select([ch.sock], [], [], 5.0)
+    try:
+        ch.read_available()
+    except EOFError:
+        return False
+    return True
 
 
 def _simple_packets():
@@ -63,12 +74,10 @@ class TestAdversarialSegmentation:
         st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_pump_reassembles_any_chunking(self, pkts, data):
-        """Feed the wire bytes to the pump's StreamReader in
-        adversarially-chosen chunks with scheduling points between
-        them; the channel decoder must yield exactly the records a
-        whole-stream decode yields, and EOF must raise the host's
-        eof flag and wake it."""
+    def test_read_available_reassembles_any_chunking(self, pkts, data):
+        """Write the wire bytes in adversarially-chosen chunks, pausing
+        or reading between them; the records drained after every read
+        must add up to exactly what a whole-stream decode yields."""
         enc = FrameEncoder()
         wire = bytearray()
         for i, p in enumerate(pkts):
@@ -85,84 +94,149 @@ class TestAdversarialSegmentation:
         expect_dec.feed(bytes(wire))
         expected = list(expect_dec.drain())
 
-        async def scenario():
-            reader = asyncio.StreamReader()
-            ch = _AsyncChannel(reader, None)
-            probe = _PumpProbe()
-            task = asyncio.ensure_future(probe._pump(ch))
+        writer, ch = _tcp_pair()
+        records = []
+        try:
             pos = 0
             while pos < len(wire):
                 step = data.draw(
                     st.integers(1, len(wire) - pos), label="chunk size"
                 )
-                reader.feed_data(bytes(wire[pos:pos + step]))
+                writer.sendall(wire[pos:pos + step])
                 pos += step
-                if data.draw(st.booleans(), label="yield"):
-                    # A scheduling point: the pump may run on any
-                    # prefix of the stream.
-                    await asyncio.sleep(0)
-            reader.feed_eof()
-            await task
-            return list(ch.decoder.drain()), probe
-
-        records, probe = asyncio.run(scenario())
+                action = data.draw(
+                    st.sampled_from(["none", "pause", "read"]), label="then"
+                )
+                if action == "pause":
+                    time.sleep(0.001)
+                elif action == "read":
+                    # The worker loop may run on any prefix of the stream.
+                    _read(ch)
+                    records += ch.decoder.drain()
+            writer.close()
+            while _read(ch):
+                records += ch.decoder.drain()
+            records += ch.decoder.drain()
+        finally:
+            writer.close()
+            ch.close()
         assert records == expected
-        assert probe._eof
-        assert probe._wake.is_set()
+        assert ch.decoder.buffered_bytes == 0
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_pump_holds_partial_frames_across_reads(self, data):
-        """A frame split one byte at a time never yields early or
-        corrupts: records appear only once their frame completes."""
+    def test_frame_cut_at_any_byte_yields_nothing_early(self, data):
+        """A frame cut at any byte yields no record until its last byte
+        arrives, and then exactly its record."""
         enc = FrameEncoder()
         p = WirePacket(0, 1, "deliver_keyed", (42,), 64, "deliver_keyed")
         enc.add_message(p)
         wire = enc.take_frame()
         cut = data.draw(st.integers(1, len(wire) - 1), label="cut")
-
-        async def scenario():
-            reader = asyncio.StreamReader()
-            ch = _AsyncChannel(reader, None)
-            probe = _PumpProbe()
-            task = asyncio.ensure_future(probe._pump(ch))
-            reader.feed_data(wire[:cut])
-            await asyncio.sleep(0)
-            early = list(ch.decoder.drain())
-            reader.feed_data(wire[cut:])
-            reader.feed_eof()
-            await task
-            return early, list(ch.decoder.drain())
-
-        early, late = asyncio.run(scenario())
-        assert early == []
+        writer, ch = _tcp_pair()
+        try:
+            writer.sendall(wire[:cut])
+            while ch.decoder.buffered_bytes < cut:
+                assert _read(ch)
+                assert ch.decoder.drain() == []
+            writer.sendall(wire[cut:])
+            late = []
+            while not late:
+                assert _read(ch)
+                late = ch.decoder.drain()
+        finally:
+            writer.close()
+            ch.close()
         assert late == [("msg", p)]
 
 
 # ----------------------------------------------------------------------
-# worker config: the loss-tolerance layer is always on
+# the reliable-AM sublayer attaches where loss is injected, as on mp
 # ----------------------------------------------------------------------
-class TestWorkerConfig:
-    def test_automatic_reliability_is_forced_on_with_wall_clock_floors(self):
-        from repro.config import RuntimeConfig
+def _rel_counters(rt) -> dict:
+    return {
+        k: v for k, v in rt.stats.counters.items() if k.startswith("rel.")
+    }
 
-        cfg = _net_worker_config(RuntimeConfig(num_nodes=2, seed=1))
-        assert cfg.reliability.enabled is True
-        assert cfg.reliability.ack_timeout_us >= _NET_ACK_TIMEOUT_US
 
-    def test_explicit_settings_are_honoured(self):
-        from repro.config import ReliabilityParams, RuntimeConfig
+class TestReliableAttach:
+    def test_fault_free_run_books_no_reliable_traffic(self):
+        res = run_scenario("ping_pong", trace=False, backend="asyncio")
+        try:
+            assert res.summary["rally"] == 40
+            assert _rel_counters(res.runtime) == {}
+        finally:
+            res.runtime.close()
 
-        off = _net_worker_config(RuntimeConfig(
-            num_nodes=2, seed=1,
-            reliability=ReliabilityParams(enabled=False),
-        ))
-        assert off.reliability.enabled is False
-        custom = _net_worker_config(RuntimeConfig(
-            num_nodes=2, seed=1,
-            reliability=ReliabilityParams(enabled=True, ack_timeout_us=123.0),
-        ))
-        assert custom.reliability.ack_timeout_us == 123.0
+    def test_fault_plan_attaches_the_reliable_layer(self):
+        plan = FaultPlan.protocol_chaos(
+            seed=5, drop=0.05, duplicate=0.05, delay=0.1,
+            delay_us=(10.0, 150.0),
+        )
+        res = run_scenario(
+            "ping_pong", trace=False, backend="asyncio", faults=plan,
+        )
+        try:
+            assert res.summary["rally"] == 40
+            assert _rel_counters(res.runtime)["rel.envelopes"] > 0
+            check_invariants(res.runtime)
+        finally:
+            res.runtime.close()
+
+
+# ----------------------------------------------------------------------
+# a mutual bulk burst: no end-to-end ack to time out behind the backlog
+# ----------------------------------------------------------------------
+@behavior
+class _Sink:
+    def __init__(self):
+        self.got = 0
+
+    @method
+    def take(self, ctx, blob):
+        self.got += 1
+
+    @method
+    def count(self, ctx):
+        return self.got
+
+
+@behavior
+class _Blaster:
+    def __init__(self):
+        pass
+
+    @method
+    def blast(self, ctx, sink, n, size):
+        blob = b"x" * size
+        for _ in range(n):
+            ctx.send(sink, "take", blob)
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("transport", ["tcp", "unix"])
+def test_mutual_bulk_burst_completes(transport):
+    """Two nodes each send the other 20,000 × 8 KiB messages from one
+    handler.  With an ack per message the acks queue behind the
+    backlog for longer than the whole retry budget (``ReliabilityError:
+    ... peer unreachable``); over the bare stream every message lands."""
+    n, size = 20_000, 8 * 1024
+    rt = HalRuntime(RuntimeConfig(
+        num_nodes=2, backend="asyncio", net=NetParams(transport=transport),
+    ))
+    try:
+        rt.load_behaviors(_Sink, _Blaster)
+        sinks = [rt.spawn(_Sink, at=i) for i in range(2)]
+        blasters = [rt.spawn(_Blaster, at=i) for i in range(2)]
+        rt.run()
+        for i in range(2):
+            rt.send(blasters[i], "blast", sinks[1 - i], n, size)
+        rt.run()
+        assert [rt.call(s, "count") for s in sinks] == [n, n]
+        assert rt.stats.counter("bulk.completions") == 2 * n
+        assert _rel_counters(rt) == {}
+    finally:
+        rt.close()
 
 
 # ----------------------------------------------------------------------

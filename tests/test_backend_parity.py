@@ -71,7 +71,7 @@ def _stable_counters(rt):
 
 
 def _no_wire(counters):
-    """Drop the mp backend's transport-internal accounting (frame
+    """Drop the process backends' transport-internal accounting (frame
     counts, payload-cache hits): it measures the wire path, which the
     in-process backends don't have, not the protocols under parity."""
     return {k: v for k, v in counters.items() if not k.startswith("wire.")}
@@ -161,15 +161,30 @@ def test_mp_backend_converges_across_seeds(name):
 @pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
 def test_asyncio_backend_matches_sim_final_state(name):
     """The socket-cluster backend reaches the sim's exact final state
-    (summary, actor count, ground-truth locations).  Counters are not
-    compared: the always-attached reliable sublayer books `rel.*`
-    traffic no lossless backend has."""
+    (summary, actor count, ground-truth locations); its counters are
+    pinned by ``test_stats_parity_sim_vs_asyncio``."""
     sim_res = run_scenario(name, trace=False, backend="sim")
     net_res = run_scenario(name, trace=False, backend="asyncio")
     try:
         net_state = _final_state(net_res)
         assert _final_state(sim_res) == net_state
         assert net_state["quiescent"]
+    finally:
+        sim_res.runtime.close()
+        net_res.runtime.close()
+
+
+@pytest.mark.parametrize("name", SEQUENTIAL_SCENARIOS)
+def test_stats_parity_sim_vs_asyncio(name):
+    """A fault-free socket cluster books exactly the sim's counters:
+    the streams are lossless, so no reliable sublayer adds `rel.*`
+    cells or envelope traffic."""
+    sim_res = run_scenario(name, trace=False, backend="sim")
+    net_res = run_scenario(name, trace=False, backend="asyncio")
+    try:
+        assert sim_res.runtime.stats.counters == _no_wire(
+            net_res.runtime.stats.counters
+        )
     finally:
         sim_res.runtime.close()
         net_res.runtime.close()

@@ -216,10 +216,10 @@ class TestFaultFuzzMp:
 
 class TestFaultFuzzAsyncio:
     """The same chaos against the socket cluster.  Loss is injected in
-    each worker's wire path exactly as on mp; the difference under test
-    is the repair layer — on this backend the reliable sublayer is
-    always attached, so the induced drops/dups/delays must heal over
-    real TCP/UNIX streams and the merged audit must still balance."""
+    each worker's wire path exactly as on mp, and the plan attaches the
+    reliable sublayer exactly as on mp, so the induced drops/dups/delays
+    must heal over real TCP/UNIX streams with mp's default ack timeouts
+    and the merged audit must still balance."""
 
     def _run(self, scenario, faults_seed, seed, transport, **kw):
         from repro.config import NetParams
