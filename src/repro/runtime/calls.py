@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.actors.continuations import JoinContinuation
 from repro.actors.message import ActorMessage, ReplyTarget
+from repro.am.messages import message_nbytes
 from repro.errors import ContinuationError
 from repro.runtime.names import ActorRef
 from repro.tracectx import TraceCtx
@@ -217,6 +218,8 @@ class ReplyRouter:
         self.kernel = kernel
         self._spans = kernel.spans
         self._spans_on = bool(kernel.spans.enabled)
+        self._packet_bytes = kernel.network_params.packet_bytes
+        self._bulk_threshold = kernel.config.bulk_threshold_bytes
 
     def send_reply(self, target: ReplyTarget, value: Any,
                    trace_ctx: Optional[tuple] = None) -> None:
@@ -238,9 +241,8 @@ class ReplyRouter:
             return
         kernel.stats.incr("calls.remote_replies")
         payload = (target.cont_id, target.slot, value)
-        from repro.am.messages import message_nbytes
-        nbytes = message_nbytes(payload, kernel.network_params.packet_bytes)
-        if nbytes >= kernel.config.bulk_threshold_bytes:
+        nbytes = message_nbytes(payload, self._packet_bytes)
+        if nbytes >= self._bulk_threshold:
             kernel.bulk.send_bulk(target.node, "reply", payload, nbytes,
                                   trace_ctx=wire_ctx)
         else:

@@ -46,6 +46,10 @@ class DeliveryService:
         self._locality_us = costs.locality_check_us
         self._lazy_alloc_us = costs.descriptor_alloc_us + costs.nametable_insert_us
         self._marshal_us = costs.marshal_us
+        config = kernel.config
+        self._packet_bytes = kernel.network_params.packet_bytes
+        self._bulk_threshold = config.bulk_threshold_bytes
+        self._descriptor_caching = config.descriptor_caching
         stats = kernel.stats
         self._c_lazy_descriptors = stats.cell("names.lazy_descriptors")
         self._c_local_generic = stats.cell("delivery.local_generic")
@@ -183,8 +187,7 @@ class DeliveryService:
         self._node.charge(self._marshal_us)
         dst = desc.remote_node
         key = desc.key
-        use_cached = desc.has_cached_addr and k.config.descriptor_caching
-        if use_cached:
+        if desc.has_cached_addr and self._descriptor_caching:
             handler = "deliver_direct"
             payload = (desc.remote_addr, msg.selector, msg.args, msg.reply_to,
                        msg.sender_node)
@@ -194,7 +197,7 @@ class DeliveryService:
             payload = (key, msg.selector, msg.args, msg.reply_to,
                        msg.sender_node)
             self._c_sent_keyed.n += 1
-        nbytes = message_nbytes(payload, k.network_params.packet_bytes)
+        nbytes = message_nbytes(payload, self._packet_bytes)
         # tuple.__new__ skips the generated NamedTuple constructor: this
         # site builds a TraceCtx for every traced remote send, and the
         # bare allocation is less than half the cost.
@@ -203,7 +206,7 @@ class DeliveryService:
                                      self._node.now))
             if self._spans_on and msg.trace_id else None
         )
-        if nbytes >= k.config.bulk_threshold_bytes:
+        if nbytes >= self._bulk_threshold:
             k.stats.incr("delivery.bulk")
             k.bulk.send_bulk(dst, handler, payload, nbytes, trace_ctx=tctx)
         else:

@@ -19,10 +19,20 @@ module reasons about:
 All transmissions deliver by running a callback on the destination
 :class:`~repro.sim.engine.SimNode`, so CPU occupancy at the receiver is
 modelled by the engine itself.
+
+Every unicast is priced and queued with little host work and without
+changing any simulated time: the wire latency comes from a per-pair
+table filled on the pair's first send by :meth:`Network.wire_latency`
+itself; the receive schedule stays sorted by drain start, so past
+windows are pruned from its front (drains on one NIC never overlap, so
+it is end-sorted too) and a new window is inserted with
+``bisect.insort`` exactly where a stable append-and-sort would put it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import itemgetter
 from typing import Callable, List, Optional
 
 from repro.config import NetworkParams
@@ -31,6 +41,9 @@ from repro.sim.engine import SimNode, Simulator
 from repro.sim.faults import FaultInjector
 from repro.stats import StatsRegistry
 from repro.topology import Topology
+
+#: Sort key of an rx-NIC schedule entry: its drain start.
+_DRAIN_START = itemgetter(1)
 
 
 class Network:
@@ -81,7 +94,13 @@ class Network:
         # while a message is *waiting* — it has arrived but its drain
         # has not begun; the transfer currently streaming through the
         # NIC does not occupy buffer space.
-        self._rx_sched: List[List[tuple[float, float, int]]] = [[] for _ in range(n)]
+        self._rx_sched: List[List[tuple[float, float, float, int]]] = [
+            [] for _ in range(n)
+        ]
+        # Per-(src, dst) wire latency, filled on the pair's first plain
+        # send: no O(P^2) step at setup, and an out-of-range node still
+        # raises from the topology on its first use.
+        self._wire_us: dict[tuple[int, int], float] = {}
 
     # ------------------------------------------------------------------
     def wire_latency(self, src: int, dst: int) -> float:
@@ -99,9 +118,25 @@ class Network:
         # send from another node may still arrive earlier than ``at``,
         # and its slot search must see every window after sim.now —
         # otherwise it could be booked over one and jump the queue.
+        # Drains on one NIC never overlap, so the start-sorted list is
+        # end-sorted too and the past windows form a prefix.
         horizon = self.sim.now
-        sched[:] = [e for e in sched if e[2] > horizon]
-        return sum(b for (arr, s, t, b) in sched if arr <= at < s)
+        past = 0
+        for entry in sched:
+            if entry[2] > horizon:
+                break
+            past += 1
+        if past:
+            del sched[:past]
+        # Only windows starting after ``at`` can hold a waiting message:
+        # they are a suffix of the start-sorted list.
+        backlog = 0
+        for arr, start, _done, nbytes in reversed(sched):
+            if start <= at:
+                break
+            if arr <= at:
+                backlog += nbytes
+        return backlog
 
     def _rx_slot(self, dst: int, arrive: float, duration: float) -> float:
         """Earliest start >= ``arrive`` of a gap of ``duration`` on the
@@ -113,7 +148,7 @@ class Network:
                 continue
             if s >= t + duration:
                 break  # the gap before this interval fits
-            t = max(t, e)
+            t = e  # e > t here: the window ends after t
         return t
 
     # ------------------------------------------------------------------
@@ -148,13 +183,19 @@ class Network:
         sender = self.nodes[src]
         now = sender.now if sender._in_handler else self.sim.now
 
-        # Sender-side injection (serialised per node).
-        inject_start = max(now, self._tx_free[src])
+        # Sender-side injection (serialised per node).  Conditional
+        # expressions stand in for max() on this per-message path.
+        tx_free = self._tx_free[src]
+        inject_start = tx_free if tx_free > now else now
         inject_done = inject_start + nbytes * p.inject_us_per_byte
         self._tx_free[src] = inject_done
 
         # Wire.
-        arrive = inject_done + self.wire_latency(src, dst)
+        pair = (src, dst)
+        wire_us = self._wire_us.get(pair)
+        if wire_us is None:
+            wire_us = self._wire_us[pair] = self.wire_latency(src, dst)
+        arrive = inject_done + wire_us
 
         # Receiver-side drain (serialised per node) + back-pressure.
         backlog = self.rx_backlog_bytes(dst, arrive)
@@ -167,18 +208,24 @@ class Network:
         # further arrivals pay the back-up (retry/packet-discard)
         # penalty.  This is the congestion minimal flow control exists
         # to avoid (§6.5).
-        overflow = max(0, backlog + nbytes - max(p.rx_buffer_bytes, nbytes))
-        if overflow:
+        buffer_bytes = p.rx_buffer_bytes
+        overflow = backlog + nbytes - (
+            buffer_bytes if buffer_bytes > nbytes else nbytes
+        )
+        if overflow > 0:
             drain_us += overflow * p.backup_penalty_us_per_byte
             self._c_backup_events.n += 1
             self._c_backup_bytes.n += overflow
-        fifo_floor = self._pair_last.get((src, dst), 0.0)
-        drain_start = self._rx_slot(dst, max(arrive, fifo_floor), drain_us)
+        fifo_floor = self._pair_last.get(pair, 0.0)
+        drain_start = self._rx_slot(
+            dst, fifo_floor if fifo_floor > arrive else arrive, drain_us
+        )
         drain_done = drain_start + drain_us
-        self._pair_last[(src, dst)] = drain_done
-        sched = self._rx_sched[dst]
-        sched.append((arrive, drain_start, drain_done, nbytes))
-        sched.sort(key=lambda entry: entry[1])
+        self._pair_last[pair] = drain_done
+        # Inserted after every equal start: where a stable sort of the
+        # appended entry would put it.
+        insort(self._rx_sched[dst], (arrive, drain_start, drain_done, nbytes),
+               key=_DRAIN_START)
 
         self._c_messages.n += 1
         self._c_bytes.n += nbytes
@@ -245,8 +292,8 @@ class Network:
             drain_done = drain_start + drain_us
             if ordered:
                 self._pair_last[(src, dst)] = drain_done
-            sched.append((arrive, drain_start, drain_done, nbytes))
-            sched.sort(key=lambda entry: entry[1])
+            insort(sched, (arrive, drain_start, drain_done, nbytes),
+                   key=_DRAIN_START)
             self._rec_delivery_us(drain_done - now)
             node.post_preempting(drain_done, deliver, args)
         return inject_done

@@ -92,9 +92,16 @@ class TraceRecord:
 
 
 class TraceLog:
-    """An append-only in-memory trace with simple query helpers."""
+    """An append-only in-memory trace with simple query helpers.
 
-    def __init__(self, enabled: bool = False, capacity: Optional[int] = None) -> None:
+    Bounded by default: once ``capacity`` records are held, later ones
+    are dropped and counted in ``dropped``, so a long traced run keeps a
+    fixed footprint.  ``capacity=None`` keeps every record.
+    """
+
+    def __init__(
+        self, enabled: bool = False, capacity: Optional[int] = DEFAULT_SPAN_CAPACITY
+    ) -> None:
         self.enabled = enabled
         self.capacity = capacity
         self.records: List[TraceRecord] = []

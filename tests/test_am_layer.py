@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+from enum import IntEnum
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro.actors.message import ReplyTarget
 from repro.am.broadcast import TreeMulticaster
 from repro.am.bulk import BulkManager
 from repro.am.cmam import Endpoint
@@ -14,11 +22,14 @@ from repro.am.handler import HandlerRegistry
 from repro.am.messages import WORD_BYTES, message_nbytes, payload_nbytes
 from repro.config import NetworkParams
 from repro.errors import FlowControlError, HandlerError, NetworkError
+from repro.runtime.groups import GroupRef
+from repro.runtime.names import ActorRef, AddrKind, MailAddress
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
 from repro.sim.stats import StatsRegistry
 from repro.sim.topology import HypercubeTopology
 from repro.sim.trace import TraceLog
+from repro.tracectx import TraceCtx
 
 
 def make_endpoints(n=4):
@@ -107,6 +118,139 @@ class TestPayloadSizes:
         assert a >= WORD_BYTES
         assert payload_nbytes(value) == a
 
+
+def _reference_nbytes(value, _depth=0):
+    """The sizer as one plain ``isinstance`` chain, kept as the oracle
+    for :func:`payload_nbytes` and its exact-type fast path."""
+    if _depth > 16:
+        return 4
+    if isinstance(value, TraceCtx):
+        return TraceCtx.WIRE_BYTES
+    if value is None or isinstance(value, (bool, int, float)):
+        return 4
+    if isinstance(value, str):
+        return 4 + len(value.encode("utf-8"))
+    if isinstance(value, bytes):
+        return 4 + len(value)
+    if isinstance(value, np.ndarray):
+        return 4 + int(value.nbytes)
+    if isinstance(value, np.generic):
+        return int(value.nbytes)
+    if isinstance(value, (tuple, list, set, frozenset)):
+        return 4 + sum(_reference_nbytes(v, _depth + 1) for v in value)
+    if isinstance(value, dict):
+        return 4 + sum(
+            _reference_nbytes(k, _depth + 1) + _reference_nbytes(v, _depth + 1)
+            for k, v in value.items()
+        )
+    size_hint = getattr(value, "WIRE_BYTES", None)
+    if size_hint is not None:
+        return int(size_hint)
+    return 8
+
+
+class _Colour(IntEnum):
+    RED = 1
+    BLUE = 2
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+_ADDR = MailAddress(AddrKind.ORDINARY, 3, 17)
+
+#: One instance of every runtime class that declares ``WIRE_BYTES``.
+_WIRE_BYTES_SAMPLES = [
+    _ADDR,
+    MailAddress(AddrKind.GROUP, 0, 2, aux=5, home=1),
+    ActorRef(_ADDR),
+    ReplyTarget(1, 7, 0),
+    GroupRef((0, 2), 8, "cyclic", 4),
+    TraceCtx(3, 5, 1.5),
+]
+
+_hashable_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.text(max_size=6),
+    st.binary(max_size=6),
+    st.sampled_from(list(_Colour)),
+    st.sampled_from(_WIRE_BYTES_SAMPLES),
+    st.floats(allow_nan=False).map(np.float64),
+    st.integers(-2**31, 2**31).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+_leaves = st.one_of(
+    _hashable_leaves,
+    st.builds(np.zeros, st.integers(0, 5),
+              dtype=st.sampled_from([np.float64, np.int32, np.uint8])),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(_Pair, inner, inner),
+        st.sets(_hashable_leaves, max_size=3),
+        st.frozensets(_hashable_leaves, max_size=3),
+        st.dictionaries(_hashable_leaves, inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+def _nest(value, depth, wrappers):
+    for i in range(depth):
+        value = wrappers[i % len(wrappers)]([value, i])
+    return value
+
+
+class TestSizerMatchesReference:
+    @given(_payloads)
+    @settings(max_examples=300, deadline=None)
+    def test_nested_payloads(self, value):
+        assert payload_nbytes(value) == _reference_nbytes(value)
+        assert message_nbytes((value, _ADDR, "sel"), 20) == (
+            20 + _reference_nbytes(value) + _reference_nbytes(_ADDR)
+            + _reference_nbytes("sel")
+        )
+
+    @given(_payloads, st.integers(14, 22),
+           st.sampled_from([(list,), (tuple,), (list, tuple), (_Pair._make,)]))
+    @settings(max_examples=120, deadline=None)
+    def test_depth_bound(self, value, depth, wrappers):
+        nested = _nest(value, depth, wrappers)
+        assert payload_nbytes(nested) == _reference_nbytes(nested)
+
+    def test_subclasses_and_numpy_scalars_use_the_chain(self):
+        for value, size in [
+            (np.float64(1.0), 4), (np.int64(1), 8), (np.bool_(True), 1),
+            (_Colour.RED, 4), (TraceCtx(1, 2, 3.0), 0),
+            (_Pair(1, "é"), 4 + 4 + 4 + 2), ("héllo", 4 + 6),
+            ({1, 2}, 12), (frozenset(), 4), ({"a": 1}, 4 + 5 + 4),
+        ]:
+            assert payload_nbytes(value) == size == _reference_nbytes(value)
+
+    def test_every_wire_bytes_class_is_sized_exactly(self):
+        declared = set()
+        for mod in pkgutil.walk_packages(repro.__path__, "repro."):
+            if mod.name == "repro.__main__":
+                continue
+            for _, cls in inspect.getmembers(
+                importlib.import_module(mod.name), inspect.isclass
+            ):
+                if cls.__module__.startswith("repro.") and "WIRE_BYTES" in vars(cls):
+                    declared.add(cls)
+        assert declared == {type(v) for v in _WIRE_BYTES_SAMPLES}
+        for value in _WIRE_BYTES_SAMPLES:
+            # Twice: the first call may memoise the type.
+            for _ in range(2):
+                assert payload_nbytes(value) == _reference_nbytes(value)
+                assert payload_nbytes([value]) == 4 + _reference_nbytes(value)
 
 class TestEndpoint:
     def test_send_runs_remote_handler(self):

@@ -24,6 +24,7 @@ from repro.sim.trace import (
     TraceCtx,
     TraceLog,
 )
+from repro.tracing import DEFAULT_SPAN_CAPACITY
 from tests.conftest import EchoServer, Hopper, make_runtime
 
 
@@ -47,6 +48,30 @@ class TestCapacityDrops:
         log.clear()
         assert log.dropped == 0
         assert "dropped" not in log.dump()
+
+    @pytest.mark.parametrize("backend", ["sim", "threaded"])
+    def test_traced_machine_log_is_bounded(self, backend):
+        # A traced machine's event log keeps the first
+        # DEFAULT_SPAN_CAPACITY records and counts the rest as dropped,
+        # so a long traced run holds a fixed footprint.
+        rt = HalRuntime(RuntimeConfig(num_nodes=2, backend=backend), trace=True)
+        try:
+            log = rt.trace
+            assert log.capacity == DEFAULT_SPAN_CAPACITY
+            start = len(log)
+            for i in range(DEFAULT_SPAN_CAPACITY - start + 3):
+                log.emit(float(i), 0, "tick", i)
+            assert len(log) == DEFAULT_SPAN_CAPACITY
+            assert log.dropped == 3
+            assert log.records[-1].detail == (DEFAULT_SPAN_CAPACITY - start - 1,)
+        finally:
+            rt.close()
+
+    def test_trace_log_capacity_none_is_unbounded(self):
+        log = TraceLog(enabled=True, capacity=None)
+        for i in range(5):
+            log.emit(float(i), 0, "tick", i)
+        assert len(log) == 5 and log.dropped == 0
 
     def test_span_recorder_ring_keeps_newest_and_counts_overwrites(self):
         # The span ring overwrites the *oldest* spans at capacity (the

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import NetworkParams, RuntimeConfig
-from repro.errors import NetworkError
+from repro.errors import NetworkError, TopologyError
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
 from repro.sim.stats import StatsRegistry
@@ -43,6 +43,16 @@ class TestUnicast:
         _, _, net = make_net()
         with pytest.raises(NetworkError):
             net.unicast(0, 1, 0, lambda: None)
+
+    @pytest.mark.parametrize("dst", [-1, 4])
+    def test_out_of_range_node_rejected(self, dst):
+        # The cached wire latency must not let a bad node index wrap
+        # around to a real node once other pairs are in the cache.
+        _, _, net = make_net()
+        for other in (1, 2, 3):
+            net.unicast(0, other, 10, lambda: None)
+        with pytest.raises(TopologyError):
+            net.unicast(0, dst, 10, lambda: None)
 
     def test_sender_nic_serialises_injection(self):
         sim, nodes, net = make_net(inject_us_per_byte=1.0)
