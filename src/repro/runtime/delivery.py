@@ -419,6 +419,9 @@ class DeliveryService:
         k = self.kernel
         if not k.config.descriptor_caching:
             return
+        if node == k.node_id:
+            # Stale: were the actor here, its descriptor would be LOCAL.
+            return
         if trace_ctx is not None and self._spans_on:
             if trace_ctx.trace_id & 1:
                 self._spans.span(

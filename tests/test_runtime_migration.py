@@ -178,6 +178,61 @@ class TestInTransitDeferral:
         assert rt.stats.counter("delivery.deferred_at_sender") >= 1
 
 
+class TestSelfNamingLocation:
+    """A ``fir_reply`` or ``cache_addr`` that names the receiving node
+    is stale (were the actor there, its descriptor would be LOCAL), so
+    it must never install "remote, on this node" (§4: best-guess
+    location information never wedges delivery)."""
+
+    @staticmethod
+    def _descriptor(kernel, key, state):
+        if state is None:
+            return None
+        desc = kernel.table.alloc(key)
+        desc.set_remote(1, 5)
+        if state is DescState.RESOLVING:
+            desc.begin_resolving()
+        elif state is DescState.IN_TRANSIT:
+            desc.begin_transit(1)
+        return desc
+
+    @pytest.mark.parametrize("state", [
+        None, DescState.REMOTE, DescState.RESOLVING, DescState.IN_TRANSIT,
+    ], ids=["fresh", "remote", "resolving", "in_transit"])
+    def test_self_naming_location_is_ignored(self, rt4, state):
+        ref = rt4.spawn(Counter, at=0)
+        rt4.run()
+        k = rt4.kernels[2]
+        key = ref.address
+        desc = self._descriptor(k, key, state)
+        k.node.bootstrap(lambda: k.migration.on_fir_reply(1, key, 2, 7, ()))
+        k.node.bootstrap(lambda: k.delivery.on_cache_addr(1, key, 2, 7))
+        if state is None:
+            assert k.table.get(key) is None
+        else:
+            assert desc.state is state
+            assert (desc.remote_node, desc.remote_addr) == (
+                (1, -1) if state is DescState.IN_TRANSIT else (1, 5))
+        assert rt4.stats.counter("fir.updated") == 0
+
+    def test_stride_one_chase_survives(self):
+        """The geometry that once died with ``Endpoint.send is
+        remote-only``: every nomad moves on every poke, seed 16."""
+        from perfbench.harness import Spans
+        from perfbench.measure import boot, play_round
+        from perfbench.workloads import ChaseSim
+
+        wl = ChaseSim(16, stride=1)
+        wl.pokes = 400
+        spans = Spans(wl.name, enabled=False)
+        rt, state = boot(wl, spans)
+        try:
+            failed = [play_round(wl, rt, state, r, spans)[1] for r in range(2)]
+        finally:
+            rt.close()
+        assert failed == [0, 0]
+
+
 class TestMigrationUnderLoadBalancing:
     def test_actor_stealing_migrates_work(self):
         from repro.config import LoadBalanceParams
