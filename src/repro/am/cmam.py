@@ -21,9 +21,8 @@ image with the same handler indices.
 The send/deliver pair is the single hottest path in the repository
 (every actor message, FIR, steal and bulk phase crosses it), so it is
 written allocation-free when tracing is off: counter cells and the
-resolved handler table are bound once at construction, payloads ride
-the engine's ``args`` pass-through instead of a closure chain, and
-trace emission is guarded by one cached flag.
+resolved handler table are bound once at construction, and payloads
+ride the engine's ``args`` pass-through instead of a closure chain.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from repro.am.messages import message_nbytes
 from repro.errors import HandlerError, NetworkError
 from repro.platform.base import NodeExecutor, Transport
 from repro.stats import StatsRegistry
-from repro.tracectx import TraceCtx
-from repro.tracing import TraceLog
 
 
 class Endpoint:
@@ -48,7 +45,6 @@ class Endpoint:
         network: Transport,
         directory: Dict[int, "Endpoint"],
         stats: StatsRegistry,
-        trace: TraceLog,
         *,
         send_overhead_us: float,
         receive_overhead_us: float,
@@ -59,7 +55,6 @@ class Endpoint:
         self.network = network
         self.directory = directory
         self.stats = stats
-        self.trace = trace
         self.send_overhead_us = send_overhead_us
         self.receive_overhead_us = receive_overhead_us
         self.handlers = HandlerRegistry()
@@ -70,11 +65,10 @@ class Endpoint:
         directory[node.node_id] = self
         # Hot-path bindings: counter cells (no string hash per message),
         # the registry's live name->fn table (no lookup() call per
-        # delivery), the cached trace flag, and the packet header size.
+        # delivery), and the packet header size.
         self._c_sends = stats.cell("am.sends")
         self._c_delivered = stats.cell("am.delivered")
         self._handler_table = self.handlers.resolved_table()
-        self._trace_on = bool(trace.enabled)
         self._packet_bytes = network.params.packet_bytes
         #: Reliable-delivery sublayer (attached by the kernel on faulty
         #: machines; see :mod:`repro.am.reliable`).  ``None`` keeps the
@@ -173,12 +167,6 @@ class Endpoint:
             args, self._packet_bytes
         )
         self._c_sends.n += 1
-        if self._trace_on and (trace_ctx is None or trace_ctx.trace_id & 1):
-            # Event records follow the trace's head-sampling verdict
-            # (the trace ID's low bit); context-free sends are always
-            # logged.  At the default rate 1.0 every bit is set, so
-            # this is the historical always-log behaviour.
-            self.trace.emit(node.now, node.node_id, "am.send", handler, dst, size)
         if trace_ctx is not None:
             # Out-of-band metadata: appended after sizing (and TraceCtx
             # is defensively sized 0 in payload_nbytes anyway).
@@ -242,8 +230,6 @@ class Endpoint:
             args, self._packet_bytes
         )
         self._c_sends.n += 1
-        if self._trace_on and (trace_ctx is None or trace_ctx.trace_id & 1):
-            self.trace.emit(node.now, node.node_id, "am.send", handler, dst, size)
         if trace_ctx is not None:
             args = args + (trace_ctx,)
         kind = wire_kind if wire_kind is not None else handler
@@ -269,12 +255,6 @@ class Endpoint:
         node.busy_us += self.receive_overhead_us
         self.delivered += 1
         self._c_delivered.n += 1
-        if self._trace_on:
-            # Mirror the send side's head-sampling gate: the context, if
-            # any, rides as the trailing argument (appended by send).
-            tail = args[-1] if args else None
-            if type(tail) is not TraceCtx or tail.trace_id & 1:
-                self.trace.emit(node.now, node.node_id, "am.recv", handler, src)
         fn = self._handler_table.get(handler)
         if fn is None:
             # Raises the canonical HandlerError for unknown names.

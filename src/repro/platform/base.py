@@ -23,7 +23,7 @@ module pins down that abstraction as four narrow protocols:
 
 ``PlatformMachine``
     The booted partition: N node executors, a transport, the
-    observability sinks (stats/trace/spans), RNG streams, topology,
+    observability sinks (stats/spans), RNG streams, topology,
     and execution control (``run`` to a deadline/predicate/idle,
     ``net_idle`` for quiescence detection, ``shutdown``).
 

@@ -24,12 +24,7 @@ from repro.sim.faults import FaultInjector, FaultPlan
 from repro.sim.network import Network
 from repro.stats import StatsRegistry
 from repro.topology import Topology, make_topology
-from repro.tracing import (
-    NullSpanRecorder,
-    NullTraceLog,
-    SpanRecorder,
-    TraceLog,
-)
+from repro.tracing import NullSpanRecorder, SpanRecorder
 
 
 class SimMachine:
@@ -58,14 +53,13 @@ class SimMachine:
         self.config = config
         self.sim = Simulator(max_events=config.max_events)
         self.stats = StatsRegistry()
-        # Untraced machines (the common case) get the inert null log so
-        # trace costs are exactly zero on the message hot path.  The
-        # span recorder follows the same null-object pattern.
-        self.trace = TraceLog(enabled=True) if trace else NullTraceLog()
         self.rng = RngStreams(config.seed)
-        # Head-sampling draws come from a dedicated substream so the
-        # decision sequence is a pure function of the seed and adding
-        # (or removing) tracing never perturbs other RNG consumers.
+        # Untraced machines (the common case) get the inert null
+        # recorder, so tracing costs one cached flag check on the
+        # message hot path.  Head-sampling draws come from a dedicated
+        # substream so the decision sequence is a pure function of the
+        # seed and adding (or removing) tracing never perturbs other
+        # RNG consumers.
         self.spans = (
             SpanRecorder(
                 enabled=True,

@@ -41,12 +41,7 @@ from repro.errors import NetworkError, ReproError, SimulationError
 from repro.rng import RngStreams
 from repro.stats import StatsRegistry
 from repro.topology import Topology, make_topology
-from repro.tracing import (
-    NullSpanRecorder,
-    NullTraceLog,
-    SpanRecorder,
-    TraceLog,
-)
+from repro.tracing import NullSpanRecorder, SpanRecorder
 
 Callback = Callable[..., None]
 
@@ -367,7 +362,6 @@ class ThreadedMachine:
         self.config = config
         self.clock = WallClock()
         self.stats = StatsRegistry()
-        self.trace = TraceLog(enabled=True) if trace else NullTraceLog()
         self.rng = RngStreams(config.seed)
         # Same dedicated sampling substream as the sim backend; on this
         # backend the draw sequence is still deterministic even though

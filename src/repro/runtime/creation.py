@@ -90,7 +90,6 @@ class CreationService:
         k.table.bind(key, desc)
         desc.set_remote(dest)
         k.stats.incr("creation.remote_issued")
-        k.trace.emit(k.node.now, k.node_id, "create.issue", key, dest)
         tctx = None
         if self._spans_on:
             c = k.trace_ctx
@@ -177,7 +176,6 @@ class CreationService:
         actor = Actor(behavior, state, k.node_id, key)
         desc.set_local(actor)
         k.stats.incr("creation.remote_served")
-        k.trace.emit(k.node.now, k.node_id, "create.serve", key, src)
         serve_span = None
         if trace_ctx is not None and self._spans_on:
             serve_span = self._spans.span(

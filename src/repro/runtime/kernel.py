@@ -44,7 +44,6 @@ class Kernel:
         self.config = runtime.config
         self.costs = runtime.costs
         self.stats = runtime.machine.stats
-        self.trace = runtime.machine.trace
         self.spans = runtime.machine.spans
         #: Causal context of the execution currently on this node's
         #: CPU: ``(trace_id, span_id)`` while a traced message, task or
@@ -62,7 +61,6 @@ class Kernel:
             runtime.machine.network,
             runtime.endpoint_directory,
             self.stats,
-            self.trace,
             send_overhead_us=self.costs.am_send_overhead_us,
             receive_overhead_us=self.costs.am_receive_overhead_us,
         )

@@ -88,10 +88,6 @@ class HalRuntime:
         return self.machine.stats
 
     @property
-    def trace(self):
-        return self.machine.trace
-
-    @property
     def spans(self):
         """The machine's causal span recorder (a null recorder unless
         the runtime was built with ``trace=True``)."""

@@ -1,51 +1,20 @@
 """Discrete-event simulated multicomputer (the CM-5 substitute).
 
-This package provides the machine substrate everything else runs on:
+This package provides the simulator the *sim* backend
+(:class:`repro.platform.simbackend.SimMachine`) runs on:
 
 - :mod:`repro.sim.engine` — deterministic event heap and per-node
   virtual clocks;
-- :mod:`repro.sim.topology` — fat-tree / hypercube coordinates and the
-  hypercube-like minimum spanning trees used for broadcast;
 - :mod:`repro.sim.network` — contention-aware interconnect model;
-- :mod:`repro.sim.machine` — partition manager + processing elements;
-- :mod:`repro.sim.rng` — named deterministic random substreams;
-- :mod:`repro.sim.stats` / :mod:`repro.sim.trace` — measurement.
+- :mod:`repro.sim.faults` / :mod:`repro.sim.invariants` — fault
+  injection and the post-run protocol audit.
+
+Layer-neutral pieces every backend shares live at the package root:
+:mod:`repro.topology`, :mod:`repro.rng`, :mod:`repro.stats`,
+:mod:`repro.tracing` and :mod:`repro.timeline`.
 """
 
 from repro.sim.engine import Event, Simulator, SimNode
-from repro.sim.machine import Machine
 from repro.sim.network import Network
-from repro.sim.rng import RngStreams
-from repro.sim.stats import Histogram, StatsRegistry
-from repro.sim.timeline import chrome_trace, spans_jsonl
-from repro.sim.topology import FatTreeTopology, HypercubeTopology, make_topology
-from repro.sim.trace import (
-    NullSpanRecorder,
-    NullTraceLog,
-    Span,
-    SpanRecorder,
-    TraceCtx,
-    TraceLog,
-)
 
-__all__ = [
-    "Event",
-    "Simulator",
-    "SimNode",
-    "Machine",
-    "Network",
-    "RngStreams",
-    "StatsRegistry",
-    "Histogram",
-    "FatTreeTopology",
-    "HypercubeTopology",
-    "make_topology",
-    "TraceLog",
-    "NullTraceLog",
-    "TraceCtx",
-    "Span",
-    "SpanRecorder",
-    "NullSpanRecorder",
-    "chrome_trace",
-    "spans_jsonl",
-]
+__all__ = ["Event", "Simulator", "SimNode", "Network"]

@@ -120,7 +120,7 @@ class FatTreeTopology(Topology):
 
 
 def make_topology(kind: str, size: int) -> Topology:
-    """Factory used by :class:`repro.sim.machine.Machine`."""
+    """Factory every backend's machine builds its topology with."""
     if kind == "fattree":
         return FatTreeTopology(size)
     if kind == "hypercube":

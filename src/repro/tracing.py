@@ -1,22 +1,20 @@
-"""Structured event tracing for debugging and white-box tests.
+"""Causal span tracing for debugging, white-box tests and export.
 
 Tracing is off by default and free when off: untraced machines carry a
-:class:`NullTraceLog` whose ``emit`` is a no-op, and hot paths guard
-with a single cached ``enabled`` flag so no argument tuple is packed
-per message.  Tests enable tracing to assert on protocol-level
-behaviour, e.g. that a forwarded message triggered exactly one FIR
-chase.
+:class:`NullSpanRecorder` whose recording calls are no-ops, and hot
+paths guard with a single cached ``enabled`` flag so no argument tuple
+is packed per message.
 
-Besides the flat :class:`TraceLog`, this module provides *causal*
-tracing: every actor message is assigned a trace ID and a span ID that
+Every actor message is assigned a trace ID and a span ID that
 propagate through sends, buffered delivery, FIR forwarding chains,
 migrations, remote creations and join-continuation replies, so a
 complete message journey can be reconstructed as a span tree
-(:class:`SpanRecorder`).  The :class:`~repro.tracectx.TraceCtx` tuple
-is the wire form of that context: it rides protocol payloads as a
-trailing argument but is *excluded* from the wire-size model, so
-enabling tracing never perturbs simulated time (see
-:func:`repro.am.messages.payload_nbytes`).
+(:class:`SpanRecorder`).  Tests assert on protocol-level behaviour
+through it, e.g. that a forwarded message triggered exactly one FIR
+chase.  The :class:`~repro.tracectx.TraceCtx` tuple is the wire form of
+that context: it rides protocol payloads as a trailing argument but is
+*excluded* from the wire-size model, so enabling tracing never perturbs
+simulated time (see :func:`repro.am.messages.payload_nbytes`).
 
 Always-on design
 ----------------
@@ -49,23 +47,16 @@ The span path is built so tracing can stay enabled in production:
   they are bit-identical at any sample rate.
 
 The module is execution-backend-neutral: the discrete-event simulator
-and the real-time threaded backend feed the same recorders
-(``repro.sim.trace`` remains as a backwards-compatible re-export).
+and the real-time threaded backend feed the same recorder.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
-
-from repro.tracectx import TraceCtx
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
-    "TraceCtx",
-    "TraceRecord",
-    "TraceLog",
-    "NullTraceLog",
     "Span",
     "SpanRecorder",
     "NullSpanRecorder",
@@ -77,110 +68,6 @@ __all__ = [
 DEFAULT_SPAN_CAPACITY = 65_536
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced occurrence."""
-
-    time: float
-    node: int
-    kind: str
-    detail: Tuple[Any, ...]
-
-    def __str__(self) -> str:
-        parts = " ".join(str(d) for d in self.detail)
-        return f"[{self.time:10.2f}us n{self.node}] {self.kind} {parts}"
-
-
-class TraceLog:
-    """An append-only in-memory trace with simple query helpers.
-
-    Bounded by default: once ``capacity`` records are held, later ones
-    are dropped and counted in ``dropped``, so a long traced run keeps a
-    fixed footprint.  ``capacity=None`` keeps every record.
-    """
-
-    def __init__(
-        self, enabled: bool = False, capacity: Optional[int] = DEFAULT_SPAN_CAPACITY
-    ) -> None:
-        self.enabled = enabled
-        self.capacity = capacity
-        self.records: List[TraceRecord] = []
-        #: Records discarded because ``capacity`` was reached.  Tracked
-        #: so a truncated trace is never mistaken for a complete one.
-        self.dropped: int = 0
-
-    def emit(self, time: float, node: int, kind: str, *detail: Any) -> None:
-        if not self.enabled:
-            return
-        if self.capacity is not None and len(self.records) >= self.capacity:
-            self.dropped += 1
-            return
-        self.records.append(TraceRecord(time, node, kind, detail))
-
-    # ------------------------------------------------------------------
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
-
-    def count(self, kind: str) -> int:
-        return sum(1 for r in self.records if r.kind == kind)
-
-    def where(self, pred: Callable[[TraceRecord], bool]) -> List[TraceRecord]:
-        return [r for r in self.records if pred(r)]
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def clear(self) -> None:
-        self.records.clear()
-        self.dropped = 0
-
-    def dump(self, limit: int = 200) -> str:
-        """Render up to ``limit`` records for debugging output."""
-        lines = [str(r) for r in self.records[:limit]]
-        if len(self.records) > limit:
-            lines.append(f"... ({len(self.records) - limit} more)")
-        if self.dropped:
-            lines.append(
-                f"... ({self.dropped} records dropped at capacity "
-                f"{self.capacity})"
-            )
-        return "\n".join(lines)
-
-
-class NullTraceLog(TraceLog):
-    """The trace sink of an untraced machine: ``emit`` is a no-op and
-    ``enabled`` is pinned False.
-
-    Flipping ``enabled`` on a null log would silently record nothing,
-    so the setter raises instead — construct the machine/runtime with
-    ``trace=True`` to get a live :class:`TraceLog`.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        super().__init__(enabled=False, capacity=capacity)
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        if value:
-            raise ValueError(
-                "NullTraceLog cannot be enabled; build the machine with "
-                "trace=True to record a trace"
-            )
-
-    def emit(self, time: float, node: int, kind: str, *detail: Any) -> None:
-        return None
-
-
-# ======================================================================
-# causal spans
-# ======================================================================
 @dataclass(frozen=True)
 class Span:
     """One stage of a traced message journey.
@@ -220,9 +107,9 @@ class SpanRecorder:
     The recorder hands out trace IDs (one per root message journey,
     low bit = head-sampling verdict) and span IDs (one per stage), and
     stores completed spans as raw tuples in a pre-allocated ring.
-    Like :class:`TraceLog` it is inert when disabled; the untraced
-    machine carries a :class:`NullSpanRecorder` so hot paths pay a
-    single cached flag check.
+    It is inert when disabled; the untraced machine carries a
+    :class:`NullSpanRecorder` so hot paths pay a single cached flag
+    check.
 
     ``sampler`` is the RNG the head-sampling draw comes from — pass a
     dedicated substream (``rng.stream("tracing.head")``) so the
@@ -518,10 +405,13 @@ class SpanRecorder:
 
 class NullSpanRecorder(SpanRecorder):
     """The span sink of an untraced machine: recording is a no-op and
-    ``enabled`` is pinned False (same contract as :class:`NullTraceLog`).
+    ``enabled`` is pinned False.
 
-    The ring is one slot so an untraced machine never pays the 64k
-    pre-allocation.
+    Flipping ``enabled`` on a null recorder would silently record
+    nothing, so the setter raises instead — construct the
+    machine/runtime with ``trace=True`` to get a live
+    :class:`SpanRecorder`.  The ring is one slot so an untraced machine
+    never pays the 64k pre-allocation.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:

@@ -26,9 +26,8 @@ from repro.runtime.groups import GroupRef
 from repro.runtime.names import ActorRef, AddrKind, MailAddress
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
-from repro.sim.stats import StatsRegistry
-from repro.sim.topology import HypercubeTopology
-from repro.sim.trace import TraceLog
+from repro.stats import StatsRegistry
+from repro.topology import HypercubeTopology
 from repro.tracectx import TraceCtx
 
 
@@ -39,7 +38,7 @@ def make_endpoints(n=4):
     net = Network(sim, HypercubeTopology(n), nodes, NetworkParams(), stats)
     directory = {}
     eps = [
-        Endpoint(node, net, directory, stats, TraceLog(),
+        Endpoint(node, net, directory, stats,
                  send_overhead_us=1.0, receive_overhead_us=1.0)
         for node in nodes
     ]
@@ -270,7 +269,7 @@ class TestEndpoint:
     def test_duplicate_endpoint_rejected(self):
         sim, eps, directory, net = make_endpoints(2)
         with pytest.raises(HandlerError):
-            Endpoint(eps[0].node, net, directory, eps[0].stats, TraceLog(),
+            Endpoint(eps[0].node, net, directory, eps[0].stats,
                      send_overhead_us=1.0, receive_overhead_us=1.0)
 
     def test_send_charges_sender_cpu(self):
@@ -452,7 +451,7 @@ class TestBulkTransfer:
                       stats, faults=FaultInjector(plan, 7, stats))
         directory = {}
         eps = [
-            Endpoint(node, net, directory, stats, TraceLog(),
+            Endpoint(node, net, directory, stats,
                      send_overhead_us=1.0, receive_overhead_us=1.0)
             for node in nodes
         ]

@@ -3,7 +3,7 @@
 The hot-path overhaul (list heap entries, args pass-through, tombstone
 compaction, O(1) ``pending``) must not change *what* the simulator
 computes — only how fast.  These tests replay identical randomized
-schedule/cancel workloads (seeded via :mod:`repro.sim.rng`) on the
+schedule/cancel workloads (seeded via :mod:`repro.rng`) on the
 current engine and on the vendored seed engine
 (``benchmarks/_seed_engine.py``) and require:
 
@@ -23,9 +23,9 @@ import sys
 
 import pytest
 
+from repro.rng import RngStreams
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsRegistry
+from repro.stats import StatsRegistry
 
 # The seed engine is vendored next to the benchmark that measures
 # against it; load it by path so tests need no sys.path games.

@@ -8,7 +8,7 @@ import pytest
 from repro import FaultInjector, FaultPlan, FaultRule, NodeFault
 from repro.errors import ReproError
 from repro.sim.faults import PROTOCOL_KINDS
-from repro.sim.stats import StatsRegistry
+from repro.stats import StatsRegistry
 
 
 def make_injector(plan, seed=7):

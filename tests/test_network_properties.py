@@ -11,8 +11,8 @@ from repro.config import NetworkParams
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan, FaultRule, NodeFault
 from repro.sim.network import Network
-from repro.sim.stats import StatsRegistry
-from repro.sim.topology import FatTreeTopology, HypercubeTopology
+from repro.stats import StatsRegistry
+from repro.topology import FatTreeTopology, HypercubeTopology
 
 
 def make_net(n=4, **over):

@@ -14,64 +14,39 @@ import pytest
 
 from repro import HalRuntime, RuntimeConfig
 from repro.apps.scenarios import run_scenario
-from repro.sim.stats import Histogram, StatsRegistry
-from repro.sim.timeline import chrome_trace, spans_jsonl
-from repro.sim.trace import (
+from repro.stats import Histogram, StatsRegistry
+from repro.timeline import chrome_trace, spans_jsonl
+from repro.tracectx import TraceCtx
+from repro.tracing import (
+    DEFAULT_SPAN_CAPACITY,
     NullSpanRecorder,
-    NullTraceLog,
     Span,
     SpanRecorder,
-    TraceCtx,
-    TraceLog,
 )
-from repro.tracing import DEFAULT_SPAN_CAPACITY
 from tests.conftest import EchoServer, Hopper, make_runtime
 
 
 # ======================================================================
-# TraceLog / SpanRecorder capacity accounting
+# SpanRecorder capacity accounting
 # ======================================================================
 class TestCapacityDrops:
-    def test_trace_log_counts_drops(self):
-        log = TraceLog(enabled=True, capacity=2)
-        for i in range(5):
-            log.emit(float(i), 0, "tick", i)
-        assert len(log) == 2
-        assert log.dropped == 3
-        assert "3 records dropped at capacity 2" in log.dump()
-
-    def test_trace_log_clear_resets_drop_count(self):
-        log = TraceLog(enabled=True, capacity=1)
-        log.emit(0.0, 0, "a")
-        log.emit(1.0, 0, "b")
-        assert log.dropped == 1
-        log.clear()
-        assert log.dropped == 0
-        assert "dropped" not in log.dump()
-
     @pytest.mark.parametrize("backend", ["sim", "threaded"])
     def test_traced_machine_log_is_bounded(self, backend):
-        # A traced machine's event log keeps the first
-        # DEFAULT_SPAN_CAPACITY records and counts the rest as dropped,
-        # so a long traced run holds a fixed footprint.
+        # A traced machine's span ring holds DEFAULT_SPAN_CAPACITY
+        # spans, overwrites the oldest past that and counts them, so a
+        # long traced run holds a fixed footprint.
         rt = HalRuntime(RuntimeConfig(num_nodes=2, backend=backend), trace=True)
         try:
-            log = rt.trace
-            assert log.capacity == DEFAULT_SPAN_CAPACITY
-            start = len(log)
-            for i in range(DEFAULT_SPAN_CAPACITY - start + 3):
-                log.emit(float(i), 0, "tick", i)
-            assert len(log) == DEFAULT_SPAN_CAPACITY
-            assert log.dropped == 3
-            assert log.records[-1].detail == (DEFAULT_SPAN_CAPACITY - start - 1,)
+            rec = rt.spans
+            assert rec.capacity == DEFAULT_SPAN_CAPACITY
+            n = DEFAULT_SPAN_CAPACITY - rec.recorded + 3
+            for i in range(n):
+                rec.span(1, 0, f"tick {i}", "tick", 0, float(i))
+            assert len(rec) == DEFAULT_SPAN_CAPACITY
+            assert rec.overwrites == 3
+            assert rec.spans[-1].name == f"tick {n - 1}"
         finally:
             rt.close()
-
-    def test_trace_log_capacity_none_is_unbounded(self):
-        log = TraceLog(enabled=True, capacity=None)
-        for i in range(5):
-            log.emit(float(i), 0, "tick", i)
-        assert len(log) == 5 and log.dropped == 0
 
     def test_span_recorder_ring_keeps_newest_and_counts_overwrites(self):
         # The span ring overwrites the *oldest* spans at capacity (the
@@ -167,11 +142,6 @@ class TestTracingOff:
         rec.enabled = False  # idempotent no-op is allowed
         rec.record(1, 2, 0, "x", "send", 0, 0.0, 0.0)
         assert len(rec) == 0
-
-    def test_null_trace_log_cannot_be_enabled(self):
-        log = NullTraceLog()
-        with pytest.raises(ValueError):
-            log.enabled = True
 
     def test_untraced_run_records_nothing(self):
         rt = make_runtime(4)

@@ -710,9 +710,18 @@ def test_layering_lint_catches_violations(tmp_path):
         "from repro.platform.wireformat import FrameEncoder\n"
         "from repro.platform.base import NodeExecutor  # allowed\n"
     )
+    # The simulator sits beneath the seam: the sim backend imports it,
+    # never the reverse.
+    sim = src / "repro" / "sim"
+    sim.mkdir(parents=True)
+    (sim / "cycle.py").write_text(
+        "from repro.platform.simbackend import SimMachine\n"
+        "from repro.stats import StatsRegistry  # allowed\n"
+    )
     problems = check_layering.check(str(src))
-    assert len(problems) == 4
+    assert len(problems) == 5
     assert "repro.sim.engine" in problems[0]
     assert "repro.platform.threaded" in problems[1]
     assert "repro.platform.mp" in problems[2]
     assert "repro.platform.wireformat" in problems[3]
+    assert "repro.platform.simbackend" in problems[4]

@@ -1,14 +1,13 @@
-"""RNG streams, stats registry, trace log, machine facade."""
+"""RNG streams, stats registry, machine facade."""
 
 from __future__ import annotations
 
 import random
 
 from repro.config import RuntimeConfig
-from repro.sim.machine import Machine
-from repro.sim.rng import RngStreams
-from repro.sim.stats import StatsRegistry, TimerStat
-from repro.sim.trace import TraceLog
+from repro.platform.simbackend import SimMachine
+from repro.rng import RngStreams
+from repro.stats import StatsRegistry, TimerStat
 
 
 class TestRngStreams:
@@ -89,46 +88,16 @@ class TestStats:
         assert "am.sends" in out and "net.bytes" not in out
 
 
-class TestTrace:
-    def test_disabled_by_default(self):
-        t = TraceLog()
-        t.emit(1.0, 0, "x")
-        assert len(t) == 0
-
-    def test_enabled_records(self):
-        t = TraceLog(enabled=True)
-        t.emit(1.0, 0, "send", "a", 3)
-        t.emit(2.0, 1, "recv")
-        assert t.count("send") == 1
-        assert len(t.of_kind("recv")) == 1
-        assert t.where(lambda r: r.node == 1)[0].kind == "recv"
-
-    def test_capacity_cap(self):
-        t = TraceLog(enabled=True, capacity=2)
-        for i in range(5):
-            t.emit(float(i), 0, "e")
-        assert len(t) == 2
-
-    def test_dump_and_clear(self):
-        t = TraceLog(enabled=True)
-        for i in range(3):
-            t.emit(float(i), 0, "e", i)
-        assert "e 0" in t.dump(limit=1)
-        assert "2 more" in t.dump(limit=1)
-        t.clear()
-        assert len(t) == 0
-
-
 class TestMachine:
     def test_boot_shape(self):
-        m = Machine(RuntimeConfig(num_nodes=8))
+        m = SimMachine(RuntimeConfig(num_nodes=8))
         assert m.num_nodes == 8
         assert len(m.nodes) == 8
         assert m.topology.size == 8
         assert m.frontend_node.node_id == -1
 
     def test_cpu_utilisation(self):
-        m = Machine(RuntimeConfig(num_nodes=2))
+        m = SimMachine(RuntimeConfig(num_nodes=2))
         m.nodes[0].execute(0.0, lambda: m.nodes[0].charge(10.0))
         m.run()
         util = m.cpu_utilisation()

@@ -8,8 +8,8 @@ from repro.config import NetworkParams, RuntimeConfig
 from repro.errors import NetworkError, TopologyError
 from repro.sim.engine import SimNode, Simulator
 from repro.sim.network import Network
-from repro.sim.stats import StatsRegistry
-from repro.sim.topology import HypercubeTopology
+from repro.stats import StatsRegistry
+from repro.topology import HypercubeTopology
 
 
 def make_net(n=4, **param_overrides):

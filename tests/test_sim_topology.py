@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TopologyError
-from repro.sim.topology import FatTreeTopology, HypercubeTopology, make_topology
+from repro.topology import FatTreeTopology, HypercubeTopology, make_topology
 
 
 class TestHypercube:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Layering lint: the runtime must not reach beneath the platform seam.
+"""Layering lint: the runtime must not reach beneath the platform seam,
+and the simulator must not reach above it.
 
 ``repro.runtime`` and ``repro.am`` are written against the platform
 interfaces (:mod:`repro.platform.base`); importing an execution
@@ -17,6 +18,10 @@ Allowed from guarded packages:
   ``repro.tracectx``, ``repro.topology``, ``repro.rng``, ``repro.config``,
   ``repro.errors``, ...);
 - anything inside the guarded packages themselves.
+
+``repro.sim`` is the sim backend's machinery, so it may not import
+``repro.platform`` at all: ``repro.platform.simbackend`` imports the
+simulator, never the reverse, so no import cycle can form between them.
 
 Run from the repo root (CI's lint job does)::
 
@@ -54,10 +59,19 @@ FORBIDDEN_PREFIXES = (
 )
 
 
-def _is_forbidden(module: str) -> bool:
+#: ``(packages, forbidden import prefixes, why)`` — one rule per row.
+RULES = (
+    (GUARDED, FORBIDDEN_PREFIXES,
+     "guarded layers may only use repro.platform interfaces"),
+    (("repro/sim",), ("repro.platform",),
+     "the simulator sits beneath the platform seam"),
+)
+
+
+def _is_forbidden(module: str, prefixes: Tuple[str, ...]) -> bool:
     return any(
         module == p or module.startswith(p + ".")
-        for p in FORBIDDEN_PREFIXES
+        for p in prefixes
     )
 
 
@@ -78,23 +92,22 @@ def _imports(tree: ast.AST) -> Iterator[Tuple[int, str]]:
 
 def check(src: str = SRC) -> List[str]:
     problems: List[str] = []
-    for pkg in GUARDED:
-        root = os.path.join(src, *pkg.split("/"))
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for fname in sorted(filenames):
-                if not fname.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                with open(path) as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                rel = os.path.relpath(path, REPO_ROOT)
-                for lineno, module in _imports(tree):
-                    if _is_forbidden(module):
-                        problems.append(
-                            f"{rel}:{lineno}: imports {module!r} "
-                            "(guarded layers may only use repro.platform "
-                            "interfaces)"
-                        )
+    for packages, prefixes, why in RULES:
+        for pkg in packages:
+            root = os.path.join(src, *pkg.split("/"))
+            for dirpath, _dirnames, filenames in os.walk(root):
+                for fname in sorted(filenames):
+                    if not fname.endswith(".py"):
+                        continue
+                    path = os.path.join(dirpath, fname)
+                    with open(path) as fh:
+                        tree = ast.parse(fh.read(), filename=path)
+                    rel = os.path.relpath(path, REPO_ROOT)
+                    for lineno, module in _imports(tree):
+                        if _is_forbidden(module, prefixes):
+                            problems.append(
+                                f"{rel}:{lineno}: imports {module!r} ({why})"
+                            )
     return problems
 
 
@@ -106,7 +119,8 @@ def main() -> int:
             print(f"  {p}", file=sys.stderr)
         return 1
     n_pkgs = ", ".join(p.replace("/", ".") for p in GUARDED)
-    print(f"layering OK: {n_pkgs} import no execution backend")
+    print(f"layering OK: {n_pkgs} import no execution backend; "
+          "repro.sim imports no repro.platform")
     return 0
 
 
