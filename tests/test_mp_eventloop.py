@@ -111,6 +111,44 @@ def test_read_available_takes_every_queued_frame(kind):
 
 
 # ======================================================================
+# the worker's timed wait: no millisecond rounding of short timers
+# ======================================================================
+class _RecordingSelector:
+    def __init__(self):
+        self.timeouts = []
+
+    def select(self, timeout):
+        self.timeouts.append(timeout)
+        return []
+
+
+def _step_with_timer(monkeypatch, timeout):
+    """Run one pipe/socket worker step whose next heap entry is due in
+    ``timeout`` seconds; returns (sleeps, select timeouts)."""
+    sleeps = []
+    monkeypatch.setattr(mp.time, "sleep", sleeps.append)
+    host = mp._WorkerHost.__new__(mp._WorkerHost)
+    host._sel = _RecordingSelector()
+    host._run_ready = host._maybe_advance_ring = host._flush_pending = (
+        lambda: None)
+    host._next_timeout = lambda: timeout
+    host._step_wait()
+    return sleeps, host._sel.timeouts
+
+
+@pytest.mark.parametrize("timeout", [5e-6, 50e-6, 0.0009])
+def test_sub_millisecond_timer_is_slept_not_rounded_up(monkeypatch, timeout):
+    """epoll would turn a 5 µs wait into 1 ms; a fib.mp round spent
+    4.6 s instead of 0.86 s in those naps (DESIGN.md §5f)."""
+    assert _step_with_timer(monkeypatch, timeout) == ([timeout], [0.0])
+
+
+@pytest.mark.parametrize("timeout", [None, 0.0, 0.001, 0.25])
+def test_other_timer_waits_block_in_select(monkeypatch, timeout):
+    assert _step_with_timer(monkeypatch, timeout) == ([], [timeout])
+
+
+# ======================================================================
 # the driver blocks, and detection rounds are paced
 # ======================================================================
 @pytest.mark.parametrize("transport", sorted(_TRANSPORTS))
