@@ -6,6 +6,8 @@ dispatch mechanisms (§6.3).  This package provides:
 
 - :mod:`repro.hal.dsl` — the embedded programming surface
   (``@behavior``, ``@method``, ``disable_when``);
+- :mod:`repro.hal.source` — each method's source, parsed once per
+  process and shared by every stage that reads a method body;
 - :mod:`repro.hal.lower` — the AST frontend: plain-def methods are
   continuation-split at each ``ctx.request`` and CPS-rewritten into
   generator form, with independent requests grouped into shared joins;

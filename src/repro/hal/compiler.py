@@ -170,6 +170,45 @@ def _lower_universe(universe: Dict[str, Behavior]) -> Dict[str, List[str]]:
     return lowered
 
 
+#: How many universes' analyses :func:`_analyze` keeps.
+_ANALYSES_KEPT = 16
+_analyses: Dict[tuple, tuple] = {}
+
+
+def _analyze(behaviors: Dict[str, Behavior], universe: Dict[str, Behavior],
+             strict: bool) -> tuple:
+    """Stages 1-3 over the lowered universe, memoised.
+
+    The analyses read nothing but ``strict``, the universe's names and
+    each behaviour's method table.  The key holds exactly those objects
+    (plus the program's own names), never their ``id()``s, which a dead
+    object's successor may reuse.  So a program linked again, by a
+    second runtime in the same process say, reuses the first link's
+    results, while a new behaviour, a replaced method or another
+    ``strict`` is a new key.  Results are shared between hits and
+    read-only after compilation; a compile that raises stores nothing.
+    The least recently used entry goes once ``_ANALYSES_KEPT`` are held.
+    """
+    key = (
+        strict,
+        frozenset(behaviors),
+        tuple((bname, beh, tuple(beh.methods.items()))
+              for bname, beh in universe.items()),
+    )
+    hit = _analyses.pop(key, None)
+    if hit is None:
+        inference = infer_program(universe)
+        dependence = analyze_dependence(inference)
+        plans, diags = select_plans(universe, inference, dependence,
+                                    strict=strict)
+        hit = (inference, dependence, plans,
+               list(inference.diagnostics) + diags)
+        if len(_analyses) >= _ANALYSES_KEPT:
+            del _analyses[next(iter(_analyses))]
+    _analyses[key] = hit  # (re)inserted last: most recently used
+    return hit
+
+
 def compile_behaviors(
     behaviors: Dict[str, Behavior],
     *,
@@ -187,10 +226,7 @@ def compile_behaviors(
     universe = dict(universe or {})
     universe.update(behaviors)
     _lower_universe(universe)
-    inference = infer_program(universe)
-    dependence = analyze_dependence(inference)
-    plans, diags = select_plans(universe, inference, dependence, strict=strict)
-    diags = list(inference.diagnostics) + diags
+    inference, dependence, plans, diags = _analyze(behaviors, universe, strict)
     compiled: Dict[str, CompiledBehavior] = {}
     for bname, beh in behaviors.items():
         functional = dependence.behavior_is_functional(bname)
@@ -206,7 +242,7 @@ def compile_behaviors(
         beh.compiled = cb
         beh.functional = functional
         compiled[bname] = cb
-    return CompiledProgram(name, compiled, inference, dependence, diags)
+    return CompiledProgram(name, compiled, inference, dependence, list(diags))
 
 
 def compile_program(

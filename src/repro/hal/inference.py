@@ -1,9 +1,9 @@
 """Constraint-based type inference over behaviour method ASTs (§2, [27]).
 
-The compiler analyses each ``@method`` body (obtained with
-``inspect.getsource``) and computes, for every *send site*, the set of
-behaviours the receiver may have at runtime.  Inference is a classic
-monotone fixpoint:
+The compiler analyses each ``@method`` body (the tree parsed once per
+function by :func:`repro.hal.source.method_tree`) and computes, for
+every *send site*, the set of behaviours the receiver may have at
+runtime.  Inference is a classic monotone fixpoint:
 
 - type variables exist for behaviour attributes (``self.x``), method
   parameters, method locals and method return values;
@@ -24,14 +24,13 @@ locality-check-guarded static dispatch has).
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.actors.behavior import Behavior
 from repro.errors import CompileError
 from repro.hal.lower import walk_scope
+from repro.hal.source import method_tree
 from repro.hal.types import (
     ANY,
     BOTTOM,
@@ -110,23 +109,12 @@ def _parse_method(behavior_name: str, name: str, fn) -> MethodAnalysis:
     rewritten code object deliberately keeps the original file and
     line numbers), which no longer matches what the runtime executes.
     """
-    lowered_ast = getattr(fn, "__hal_lowered_ast__", None)
-    if lowered_ast is not None:
-        func = lowered_ast  # already absolute-lineno'd by the lowerer
-        lowered = True
-    else:
-        try:
-            lines, firstlineno = inspect.getsourcelines(fn)
-            tree = ast.parse(textwrap.dedent("".join(lines)))
-        except (OSError, TypeError, SyntaxError, IndentationError):
-            return MethodAnalysis(behavior_name, name, [], None, False, False)  # type: ignore[arg-type]
-        func = next(
-            (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)), None
-        )
+    func = getattr(fn, "__hal_lowered_ast__", None)  # absolute linenos
+    lowered = func is not None
+    if not lowered:
+        func = method_tree(fn)
         if func is None:
             return MethodAnalysis(behavior_name, name, [], None, False, False)  # type: ignore[arg-type]
-        ast.increment_lineno(func, firstlineno - 1)
-        lowered = False
     arg_names = [a.arg for a in func.args.args]
     # skip (self, ctx)
     params = arg_names[2:] if len(arg_names) >= 2 else []

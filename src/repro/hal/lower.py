@@ -41,13 +41,13 @@ produce the same continuation structure, validated by
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import CompileError
+from repro.hal.source import method_tree
 
 __all__ = ["LoweredMethod", "lower_method", "is_request_call", "walk_scope"]
 
@@ -402,18 +402,9 @@ def lower_method(behavior_name: str, method_name: str, fn: Callable
     """
     if getattr(fn, "__hal_lowered__", False):
         return None
-    try:
-        lines, firstlineno = inspect.getsourcelines(fn)
-        src = textwrap.dedent("".join(lines))
-        tree = ast.parse(src)
-    except (OSError, TypeError, SyntaxError, IndentationError):
-        return None
-    func = next((n for n in tree.body if isinstance(n, ast.FunctionDef)), None)
+    func = method_tree(fn)  # shared and read-only until copied below
     if func is None:
         return None
-    # Absolute line numbers before anything else: diagnostics and the
-    # recompiled code object both point into the real file.
-    ast.increment_lineno(tree, firstlineno - 1)
     if any(isinstance(n, (ast.Yield, ast.YieldFrom))
            for n in walk_scope(func)):
         return None  # explicit-yield frontend; dependence validates it
@@ -426,6 +417,7 @@ def lower_method(behavior_name: str, method_name: str, fn: Callable
                 lw._check_no_nested_requests(n)
         return None  # nothing to split
     if fn.__closure__:
+        firstlineno = fn.__code__.co_firstlineno
         raise CompileError(
             f"{behavior_name}.{method_name} (line {firstlineno}): cannot "
             "lower a method that closes over enclosing-scope variables; "
@@ -433,6 +425,9 @@ def lower_method(behavior_name: str, method_name: str, fn: Callable
             behavior=behavior_name, method=method_name, lineno=firstlineno,
         )
 
+    # The rewrite mutates the tree; another behaviour (a subclass) may
+    # lower the same original function later.
+    func = copy.deepcopy(func)
     func.body = lw.lower_block(func.body)
     func.decorator_list = []  # already applied to the original fn
     module = ast.Module(body=[func], type_ignores=[])

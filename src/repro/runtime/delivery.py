@@ -422,6 +422,11 @@ class DeliveryService:
         if node == k.node_id:
             # Stale: were the actor here, its descriptor would be LOCAL.
             return
+        desc = k.table.get(key)
+        if desc is not None and desc.state is not DescState.REMOTE:
+            # RESOLVING / LOCAL / IN_TRANSIT: local truth wins, nothing
+            # is installed, so there is no back-patch to trace.
+            return
         if trace_ctx is not None and self._spans_on:
             if trace_ctx.trace_id & 1:
                 self._spans.span(
@@ -431,12 +436,10 @@ class DeliveryService:
                 )
             else:
                 self._spans.elided += 1
-        desc = k.table.get(key)
         if desc is None:
             k.node.charge(k.costs.descriptor_alloc_us + k.costs.nametable_insert_us)
             desc = k.table.alloc(key)
             desc.set_remote(node, addr)
-            return
-        if desc.state is DescState.REMOTE:
+        else:
             desc.set_remote(node, addr)
             k.stats.incr("names.cached_addrs")

@@ -14,7 +14,8 @@ argument, so after a run we audit it directly:
    Nothing was *silently* lost below the injected-fault budget;
 3. **no retained work** — no unacked reliable envelopes, no bulk
    transfers mid-protocol, no parked FIR chases, no deferred messages,
-   no transient descriptor states, no ready-but-undelivered mail;
+   no transient descriptor states, no REMOTE descriptor naming its
+   own node, no ready-but-undelivered mail;
 4. **forwarding-chain convergence** — from *every* node, following
    best-guess pointers for every known mail address terminates at the
    actor's true location within a bounded number of hops (no cycles,
@@ -121,6 +122,10 @@ def kernel_retained_work(kernel) -> List[str]:
         what = f"node {nid}, {desc.key!r}"
         if desc.state in _TRANSIENT:
             problems.append(f"{what}: descriptor stuck {desc.state.name}")
+        elif desc.state is DescState.REMOTE and desc.remote_node == nid:
+            # Were the actor here, the descriptor would be LOCAL; a
+            # send through it would leave for this very node.
+            problems.append(f"{what}: REMOTE descriptor names its own node")
         if desc.deferred:
             problems.append(
                 f"{what}: {len(desc.deferred)} deferred messages "

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import behavior, method
+from repro import HalRuntime, RuntimeConfig, behavior, method
 from repro.errors import UnknownActorError
-from repro.runtime.names import ActorRef, AddrKind, MailAddress
+from repro.runtime.names import ActorRef, AddrKind, DescState, MailAddress
+from repro.tracectx import TraceCtx
 from tests.conftest import Counter, EchoServer, make_runtime
 
 
@@ -184,3 +185,35 @@ class TestStaticDispatch:
         assert fired == 201
         assert rt.stats.counter("exec.inline_static") > 0
         assert rt.stats.counter("exec.inline_depth_overflow") >= 1
+
+
+class TestCacheAddrBackpatch:
+    """A ``cache_addr`` is traced as a back-patch only when it installs
+    a location: into a fresh descriptor or over a REMOTE guess."""
+
+    def _kernel(self):
+        rt = HalRuntime(RuntimeConfig(num_nodes=4), trace=True)
+        rt.load_behaviors(Counter)
+        return rt.kernels[0]
+
+    def test_resolving_descriptor_records_no_span(self):
+        k = self._kernel()
+        key = MailAddress(AddrKind.ORDINARY, 2, 7)
+        desc = k.table.alloc(key)
+        desc.set_remote(2)
+        desc.begin_resolving()
+        sampled, unsampled = TraceCtx(1, 0, 0.0), TraceCtx(2, 0, 0.0)
+        elided = k.spans.elided
+        k.delivery.on_cache_addr(1, key, 3, 5, sampled)
+        k.delivery.on_cache_addr(1, key, 3, 5, unsampled)
+        assert k.spans.count("backpatch") == 0
+        assert k.spans.elided == elided
+        assert desc.state is DescState.RESOLVING
+
+    def test_remote_descriptor_records_one_span(self):
+        k = self._kernel()
+        key = MailAddress(AddrKind.ORDINARY, 2, 7)
+        k.table.alloc(key).set_remote(2)
+        k.delivery.on_cache_addr(1, key, 3, 5, TraceCtx(1, 0, 0.0))
+        assert [s.kind for s in k.spans.of_trace(1)] == ["backpatch"]
+        assert k.table.get(key).remote_node == 3

@@ -232,6 +232,43 @@ class TestSelfNamingLocation:
             rt.close()
         assert failed == [0, 0]
 
+    def test_invariants_report_a_self_naming_remote_descriptor(self, rt4):
+        from repro.sim.invariants import kernel_retained_work
+        ref = rt4.spawn(Counter, at=0)
+        rt4.run()
+        k = rt4.kernels[2]
+        assert kernel_retained_work(k) == []
+        k.table.alloc(ref.address).set_remote(2, 7)
+        assert kernel_retained_work(k) == [
+            f"node 2, {ref.address!r}: REMOTE descriptor names its own node"
+        ]
+
+    @pytest.mark.bench
+    def test_stride_one_chase_survives_forty_seeds(self):
+        """Every seed of the 40-seed sweep that once found seed 16 dying
+        boots and plays two stride-1 rounds with no failed operation,
+        and ends with every invariant holding (no REMOTE descriptor
+        naming its own node among them)."""
+        from perfbench.harness import Spans
+        from perfbench.measure import boot, play_round
+        from perfbench.workloads import ChaseSim
+        from repro import check_invariants
+
+        failed = {}
+        for seed in range(40):
+            wl = ChaseSim(seed, stride=1)
+            wl.pokes = 400
+            spans = Spans(wl.name, enabled=False)
+            rt, state = boot(wl, spans)
+            try:
+                failed[seed] = sum(
+                    play_round(wl, rt, state, r, spans)[1] for r in range(2)
+                )
+                check_invariants(rt)
+            finally:
+                rt.close()
+        assert {s: n for s, n in failed.items() if n} == {}
+
 
 class TestMigrationUnderLoadBalancing:
     def test_actor_stealing_migrates_work(self):
